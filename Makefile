@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench-smoke fuzz-smoke vmnd-smoke vmnd-restart-smoke examples-validate topo-smoke bench-json bench-multicore bench-snapshot
+.PHONY: ci fmt vet build test race bench-smoke fuzz-smoke vmnd-smoke vmnd-restart-smoke examples-validate topo-smoke vmndbench-smoke bench-json bench-multicore bench-snapshot
 
-ci: fmt vet build race fuzz-smoke vmnd-smoke vmnd-restart-smoke examples-validate topo-smoke bench-smoke
+ci: fmt vet build race fuzz-smoke vmnd-smoke vmnd-restart-smoke examples-validate topo-smoke bench-smoke vmndbench-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -80,6 +80,14 @@ vmnd-smoke:
 # lifetime solves) and that SIGTERM drains and exits 0.
 vmnd-restart-smoke:
 	$(GO) test ./cmd/vmnd -run '^TestRestartSmoke$$' -count 1
+
+# The vmnd benchmark module (its own go.mod, so ./... above skips it):
+# vet and unit tests, then a 2-second run of every workload through the
+# real daemon. run.sh exits non-zero when a final verdict differs from
+# the from-scratch oracle.
+vmndbench-smoke:
+	cd vmndbench && $(GO) vet ./... && $(GO) test ./...
+	bash vmndbench/run.sh --workload all --seed 1 --seconds 2 --trace 0
 
 # Machine-readable series for benchmark trajectory tracking.
 bench-json:

@@ -315,13 +315,14 @@ func addSolverStats(a, b sat.Stats) sat.Stats {
 const maxCachedEngines = 64
 
 // EngineFor returns the compiled transfer engine for a failure scenario.
-// The forwarding state is recompiled on every call (so mutations behind
+// Each call compiles the current forwarding state (so mutations behind
 // FIBFor take effect), but when its behaviour fingerprint matches a
 // previously compiled engine the old one — with its warm walk memoization
 // shared across invariants — is reused. Fingerprint collisions are ruled
-// out by full-key comparison. Callers running many checks under one
-// scenario should call this once and pass the engine to PlanOn /
-// VerifyPlanned rather than recompiling per check.
+// out by full-key comparison. Compiling is O(network), so callers should
+// hold the result and pass it to PlanOn / VerifyPlanned rather than call
+// again per check; a long-lived caller (incr.Session) calls again only
+// when forwarding state or liveness changed.
 func (v *Verifier) EngineFor(sc topo.FailureScenario) *tf.Engine {
 	e := tf.New(v.net.Topo, v.net.FIBFor(sc), sc)
 	v.mu.Lock()

@@ -32,7 +32,6 @@ import (
 	"github.com/netverify/vmn/internal/pkt"
 	"github.com/netverify/vmn/internal/slices"
 	"github.com/netverify/vmn/internal/store"
-	"github.com/netverify/vmn/internal/tf"
 	"github.com/netverify/vmn/internal/topo"
 )
 
@@ -1094,11 +1093,7 @@ func (s *Session) reverifySampleLocked(k int) (checked int, ok bool) {
 	if k > len(s.groups) {
 		k = len(s.groups)
 	}
-	scens := s.effectiveScenarios()
-	engs := make([]*tf.Engine, len(scens))
-	for i, scen := range scens {
-		engs[i] = s.verifier.EngineFor(scen)
-	}
+	scens, engs := s.effectiveScenarios(), s.engines
 	stride := len(s.groups) / k
 	for i := 0; i < k; i++ {
 		gi := i * stride

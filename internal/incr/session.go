@@ -157,6 +157,15 @@ type groupEntry struct {
 // network except through Changes (in-place middlebox reconfiguration is
 // allowed when announced with BoxReconfig in the same change-set).
 // Sessions are safe for concurrent Apply calls (they serialize).
+//
+// An Apply recompiles only what its change-set can alter. The
+// per-scenario transfer engines depend on forwarding state and liveness
+// alone, so they are recompiled only when the set holds a NodeDown,
+// NodeUp or FIB change; the symmetry grouping depends on the invariant
+// list and the policy-class map alone, so it is recomputed only on
+// Relabel, InvAdd or InvRemove. Both are rebuilt after a failed Apply.
+// This is why forwarding state may change only through FIB changes: a
+// provider whose tables move without one keeps serving the old engines.
 type Session struct {
 	mu sync.Mutex
 
@@ -174,9 +183,14 @@ type Session struct {
 	// path's repeated same-slice solves cash in.
 	verifier *core.Verifier
 	needFull bool
-	groups   []symmetry.Group
-	keys     []string
-	entries  map[string]*groupEntry
+	// engines holds one compiled transfer engine per effective scenario
+	// (position-aligned with effectiveScenarios); groups and keys are the
+	// current invariant partition. Both persist across Applies and are
+	// rebuilt only by the changes that can alter them (see Session).
+	engines []*tf.Engine
+	groups  []symmetry.Group
+	keys    []string
+	entries map[string]*groupEntry
 	// posting is the per-atom/per-node posting index over the shared atom
 	// universe (posting.go); synced against entries on every install so a
 	// change-set resolves to its dirty candidates by posting-list lookups
@@ -549,6 +563,7 @@ func (s *Session) validNode(n topo.NodeID) error {
 func (s *Session) invalidate() {
 	s.needFull = true
 	s.entries = map[string]*groupEntry{}
+	s.engines = nil
 	s.groups = nil
 	s.keys = nil
 	// A fresh posting index: the universe re-refines from the next
@@ -628,17 +643,20 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 	defer root.End()
 
 	dirtyAll := s.needFull
-	mutated := len(changes) > 0 || s.needFull
 	im := newImpact()
 
-	// Snapshot old forwarding state for diffing before mutating.
-	needFIBDiff := false
+	// Only liveness and FIB changes can move forwarding state, and only
+	// relabels and invariant edits can move the grouping.
+	needFIBDiff, regroup := false, s.needFull
 	for _, ch := range changes {
 		switch ch.Kind {
 		case KindNodeDown, KindNodeUp, KindFIB:
 			needFIBDiff = true
+		case KindRelabel, KindInvAdd, KindInvRemove:
+			regroup = true
 		}
 	}
+	// Snapshot old forwarding state for diffing before mutating.
 	var oldFIBs []tf.FIB
 	if needFIBDiff {
 		for _, sc := range s.effectiveScenarios() {
@@ -770,19 +788,20 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 		}
 	}
 
-	// Phase 2: compile one engine per effective scenario (EngineFor
-	// dedups against the verifier's content-addressed cache, so an
-	// unchanged scenario reuses its warm engine) and diff forwarding
-	// state.
+	// Phase 2: when forwarding state may have moved, compile one engine
+	// per effective scenario (EngineFor dedups against the verifier's
+	// content-addressed cache, so an unchanged scenario reuses its warm
+	// engine) and diff forwarding state. Otherwise the session's engines
+	// are still current.
 	scens := s.effectiveScenarios()
-	var engs []*tf.Engine
-	var fibs []tf.FIB
-	if mutated {
-		for _, sc := range scens {
-			eng := s.verifier.EngineFor(sc)
-			engs = append(engs, eng)
-			fibs = append(fibs, eng.FIB())
+	engs := s.engines
+	if s.needFull || needFIBDiff {
+		compile := root.Child("tf-compile")
+		engs = make([]*tf.Engine, len(scens))
+		for i, sc := range scens {
+			engs[i] = s.verifier.EngineFor(sc)
 		}
+		compile.End()
 	}
 	if needFIBDiff {
 		// Liveness toggles themselves dirty via the footprints (Consulted
@@ -791,7 +810,7 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 		// when the effective scenario changes.
 		for i := range scens {
 			if i < len(oldFIBs) {
-				im.diffFIBs(oldFIBs[i], fibs[i])
+				im.diffFIBs(oldFIBs[i], engs[i].FIB())
 			}
 		}
 		// Attribute each changed table to a change: the first KindFIB
@@ -832,15 +851,21 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 		im.boxes = elemSet{}
 	}
 
-	// Phase 3: regroup and decide what is dirty, recording a cause per
-	// dirty group (position-aligned with dirty). The posting index first
+	// Phase 3: regroup (only when the change-set can move the grouping)
+	// and decide what is dirty, recording a cause per dirty group
+	// (position-aligned with dirty). The posting index first
 	// resolves the change-set to its candidate groups wholesale — one
 	// posting-list lookup per changed element and per affected universe
 	// atom — so only candidates pay for classify's precision checks; the
 	// screened-out groups are clean or refined-clean by construction,
 	// with counts identical to the full per-group scan.
+	groups, keys := s.groups, s.keys
+	if regroup {
+		sp := root.Child("regroup")
+		groups, keys = s.grouping()
+		sp.End()
+	}
 	dirtySpan := root.Child("dirty")
-	groups, keys := s.grouping()
 	newEntries := make(map[string]*groupEntry, len(groups))
 	var dirty []int
 	var causes []DirtyCause
@@ -978,7 +1003,7 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 				m.classSize.Observe(float64(len(clusters[ci].Members)))
 			}
 			lead := clusters[ci].Members[0].Group
-			e, vs, err := s.verifyGroup(gplans[lead], scens, fibs)
+			e, vs, err := s.verifyGroup(gplans[lead], scens, engs)
 			if err != nil {
 				return err
 			}
@@ -1011,7 +1036,7 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 	// index re-syncs against the installed entries: only re-verified
 	// groups (fresh entry pointers) re-register their reads.
 	installSpan := root.Child("cache-install")
-	s.groups, s.keys, s.entries = groups, keys, newEntries
+	s.engines, s.groups, s.keys, s.entries = engs, groups, keys, newEntries
 	s.posting.sync(newEntries)
 	s.needFull = false
 	out := s.assemble(scens)
@@ -1228,9 +1253,9 @@ func unionTouched(reads []slices.ReadSet) []topo.NodeID {
 // exact content fingerprints otherwise ('x' namespace); canonical hits may
 // come from an isomorphic slice in another namespace, in which case the
 // cached witness is translated through the renamings. The per-scenario
-// engines were compiled once in Apply phase 2 and are shared by every
-// dirty group and pool worker.
-func (s *Session) verifyGroup(gp *groupPlan, scens []topo.FailureScenario, fibs []tf.FIB) (*groupEntry, verifyStats, error) {
+// engines are the session's (Apply phase 2) and are shared by every dirty
+// group and pool worker.
+func (s *Session) verifyGroup(gp *groupPlan, scens []topo.FailureScenario, engs []*tf.Engine) (*groupEntry, verifyStats, error) {
 	if hook := s.sopts.FaultHook; hook != nil {
 		hook("solve")
 	}
@@ -1243,7 +1268,7 @@ func (s *Session) verifyGroup(gp *groupPlan, scens []topo.FailureScenario, fibs 
 		if ck := cp.CanonKey(); ck != nil {
 			key = append(append(make([]byte, 0, len(ck)+1), 'c'), ck...)
 			canon = true
-		} else if fp, ok := fingerprint(gp.rep, sc, cp.Slice(), gp.reads[si].Nodes, fibs[si], s.net.Topo, s.opts); ok {
+		} else if fp, ok := fingerprint(gp.rep, sc, cp.Slice(), gp.reads[si].Nodes, engs[si].FIB(), s.net.Topo, s.opts); ok {
 			key = append(append(make([]byte, 0, len(fp)+1), 'x'), fp...)
 		}
 		var r core.Report
@@ -1448,7 +1473,7 @@ func (s *Session) translateGroup(lead *groupEntry, leadPlan, memPlan *groupPlan,
 // scenarios (entries reused across a liveness toggle carried stale ones;
 // verdicts are position-aligned with the configured scenario list).
 func (s *Session) assemble(scens []topo.FailureScenario) []core.Report {
-	var out []core.Report
+	out := make([]core.Report, 0, len(s.invs)*len(scens))
 	for gi, g := range s.groups {
 		e := s.entries[s.keys[gi]]
 		for si, r := range e.reports {

@@ -20,7 +20,6 @@ package incr
 
 import (
 	"errors"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -108,10 +107,10 @@ type ProposeResult struct {
 }
 
 // sessState is the session's mutable state as one value: what Propose
-// snapshots, shadows, and Commit installs. Group entries, groups and keys
-// are shared between base and shadow (the pipeline replaces these
-// containers wholesale instead of mutating them), so capture/install are
-// cheap pointer swaps.
+// snapshots, shadows, and Commit installs. Compiled engines, group
+// entries, groups and keys are shared between base and shadow (the
+// pipeline replaces these containers wholesale instead of mutating them),
+// so capture/install are cheap pointer swaps.
 type sessState struct {
 	boxes    []mbox.Instance
 	policy   map[topo.NodeID]string
@@ -119,6 +118,7 @@ type sessState struct {
 	down     map[topo.NodeID]bool
 	invs     []inv.Invariant
 	needFull bool
+	engines  []*tf.Engine
 	groups   []symmetry.Group
 	keys     []string
 	entries  map[string]*groupEntry
@@ -134,7 +134,7 @@ type sessState struct {
 func (s *Session) capture() sessState {
 	return sessState{
 		boxes: s.net.Boxes, policy: s.net.PolicyClass, fibFor: s.net.FIBFor,
-		down: s.down, invs: s.invs, needFull: s.needFull,
+		down: s.down, invs: s.invs, needFull: s.needFull, engines: s.engines,
 		groups: s.groups, keys: s.keys, entries: s.entries, posting: s.posting,
 		seq: s.seq, last: s.last, totals: s.totals, explain: s.lastExplain,
 	}
@@ -143,7 +143,7 @@ func (s *Session) capture() sessState {
 // install makes st the session's current state.
 func (s *Session) install(st sessState) {
 	s.net.Boxes, s.net.PolicyClass, s.net.FIBFor = st.boxes, st.policy, st.fibFor
-	s.down, s.invs, s.needFull = st.down, st.invs, st.needFull
+	s.down, s.invs, s.needFull, s.engines = st.down, st.invs, st.needFull, st.engines
 	s.groups, s.keys, s.entries = st.groups, st.keys, st.entries
 	s.posting = st.posting
 	s.seq, s.last, s.totals = st.seq, st.last, st.totals
@@ -413,13 +413,11 @@ func (s *Session) runShadow(base sessState, view *overlayCacheView, changes []Ch
 }
 
 // checkKey identifies one (invariant, scenario) check across report sets
-// (scenario node order normalized).
+// (scenario nodes in ID order).
 func checkKey(r core.Report) string {
-	nodes := append([]topo.NodeID(nil), r.Scenario.Nodes()...)
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 	var b strings.Builder
 	b.WriteString(r.Invariant.Name())
-	for _, n := range nodes {
+	for _, n := range r.Scenario.Nodes() {
 		b.WriteByte('|')
 		b.WriteString(strconv.Itoa(int(n)))
 	}

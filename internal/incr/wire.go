@@ -802,6 +802,9 @@ func EncodeResult(t *topo.Topology, stats ApplyStats, reports []core.Report) Wir
 		BudgetExceeded:  stats.BudgetExceeded,
 		DurationNs:      stats.Duration.Nanoseconds(),
 	}
+	if len(reports) > 0 { // an empty set stays null on the wire
+		res.Reports = make([]WireReport, 0, len(reports))
+	}
 	for _, r := range reports {
 		wr := WireReport{
 			Invariant:      r.Invariant.Name(),

@@ -6,7 +6,7 @@ package topo
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/netverify/vmn/internal/pkt"
 )
@@ -255,13 +255,17 @@ func (f FailureScenario) Failed(n NodeID) bool { return f.failed[n] }
 // Count returns the number of failed nodes.
 func (f FailureScenario) Count() int { return len(f.failed) }
 
-// Nodes returns the failed nodes in ID order.
+// Nodes returns the failed nodes in ID order (nil for the empty
+// scenario).
 func (f FailureScenario) Nodes() []NodeID {
+	if len(f.failed) == 0 {
+		return nil
+	}
 	out := make([]NodeID, 0, len(f.failed))
 	for n := range f.failed {
 		out = append(out, n)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

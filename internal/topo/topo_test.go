@@ -140,7 +140,7 @@ func TestFailureScenario(t *testing.T) {
 	if len(ns) != 2 || ns[0] != 1 || ns[1] != 3 {
 		t.Fatalf("nodes = %v", ns)
 	}
-	if NoFailures().Count() != 0 {
+	if NoFailures().Count() != 0 || NoFailures().Nodes() != nil {
 		t.Fatal("NoFailures should be empty")
 	}
 	if f.Key() == NoFailures().Key() {
