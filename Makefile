@@ -46,7 +46,6 @@ bench-smoke:
 fuzz-smoke:
 	$(GO) test ./internal/incr -run '^$$' -fuzz '^FuzzSessionDifferential$$' -fuzztime 15s
 	$(GO) test ./internal/incr -run '^$$' -fuzz '^FuzzDecodeChangeSet$$' -fuzztime 5s
-	$(GO) test ./internal/incr -run '^$$' -fuzz '^FuzzDecodeProposeSet$$' -fuzztime 5s
 	$(GO) test ./internal/incr -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 5s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDecodeJournal$$' -fuzztime 5s
 	$(GO) test ./internal/netdesc -run '^$$' -fuzz '^FuzzDecodeTopology$$' -fuzztime 5s

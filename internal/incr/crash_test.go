@@ -29,17 +29,17 @@ const crashSteps = 9
 // crashChanges is the deterministic change stream: step k's change-set
 // is a pure function of (datacenter, k), so independently constructed
 // lanes stay in lockstep. It cycles through every durable change kind —
-// liveness toggles, firewall reconfiguration (absolute state, not a
-// delta, so replay from any prefix converges), relabels, and invariant
-// add/remove.
+// liveness toggles, firewall and IDPS reconfiguration (absolute state,
+// not a delta, so replay from any prefix converges), relabels, and
+// invariant add/remove.
 func crashChanges(d *bench.Datacenter, k int) []incr.Change {
 	t := d.Net.Topo
 	host := func(g int) pkt.Addr { return t.Node(d.Hosts[g%3][0]).Addr }
-	switch k % 6 {
+	switch k % 7 {
 	case 0:
-		return []incr.Change{incr.NodeDown(d.Hosts[(k/6)%3][0])}
+		return []incr.Change{incr.NodeDown(d.Hosts[(k/7)%3][0])}
 	case 1: // mirror of case 0 at k-1
-		return []incr.Change{incr.NodeUp(d.Hosts[((k-1)/6)%3][0])}
+		return []incr.Change{incr.NodeUp(d.Hosts[((k-1)/7)%3][0])}
 	case 2:
 		fw := &mbox.LearningFirewall{
 			InstanceName: "fw1",
@@ -56,8 +56,11 @@ func crashChanges(d *bench.Datacenter, k int) []incr.Change {
 		return []incr.Change{incr.AddInvariant(inv.Reachability{
 			Dst: d.Hosts[2][0], SrcAddr: host(0), Label: fmt.Sprintf("p%d", k),
 		})}
-	default: // case 5: remove the invariant case 4 added at k-1
+	case 5: // remove the invariant case 4 added at k-1
 		return []incr.Change{incr.RemoveInvariant(fmt.Sprintf("p%d", k-1))}
+	default: // case 6: a non-firewall box, ids1 watching another group
+		ids := mbox.NewIDPS("ids1", d.Net.Registry, pkt.AddrNone, pkt.HostPrefix(host(k)))
+		return []incr.Change{incr.BoxSwap(d.IDS1, ids)}
 	}
 }
 
@@ -99,6 +102,10 @@ func TestCrashMidChurnRecovers(t *testing.T) {
 					step := fmt.Sprintf("pre-kill step %d", k)
 					compareReports(t, step, got, uCur)
 					compareWitnesses(t, step, got, uCur)
+				}
+
+				if ps := sA.PersistStatus(); ps.Degraded != "" {
+					t.Fatalf("lane A stopped persisting: %+v", ps)
 				}
 
 				// SIGKILL: abandon lane A without Shutdown, and leave the
@@ -153,6 +160,9 @@ func TestCrashMidChurnRecovers(t *testing.T) {
 					step := fmt.Sprintf("post-restart step %d", k)
 					compareReports(t, step, got, uCur)
 					compareWitnesses(t, step, got, uCur)
+				}
+				if ps := sB.PersistStatus(); ps.Degraded != "" {
+					t.Fatalf("lane B stopped persisting: %+v", ps)
 				}
 			})
 		}

@@ -19,7 +19,9 @@ package incr_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/netverify/vmn/internal/bench"
@@ -27,6 +29,7 @@ import (
 	"github.com/netverify/vmn/internal/incr"
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/mbox"
+	"github.com/netverify/vmn/internal/netdesc"
 	"github.com/netverify/vmn/internal/pkt"
 	"github.com/netverify/vmn/internal/tf"
 	"github.com/netverify/vmn/internal/topo"
@@ -510,9 +513,9 @@ func FuzzSessionDifferential(f *testing.F) {
 	})
 }
 
-// FuzzDecodeChangeSet hardens the wire decoder: arbitrary input lines must
-// decode or fail cleanly, never panic, and a successful decode must be
-// applicable or rejected cleanly by the session.
+// FuzzDecodeChangeSet hardens the wire decoder on plain change-set lines,
+// single changes and arrays alike; see checkDecodePaths for what each
+// input must satisfy.
 func FuzzDecodeChangeSet(f *testing.F) {
 	seeds := []string{
 		`{"op":"node_down","node":"fw1"}`,
@@ -530,23 +533,17 @@ func FuzzDecodeChangeSet(f *testing.F) {
 		`[{"op":"noop"},{"op":"node_down","node":"fw1"}]`,
 		`not json`,
 		`{"op":`,
+		`[{"op":"fw_deny","node":"fw2","src":"10.0.0.1/0","dst":"*"},{"op":"fw_deny","node":"fw2","src":"10.0.0.1/0","dst":"*"},{"op":"fw_del","node":"fw2","src":"10.0.0.1/0","dst":"*"}]`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
-	d := bench.NewDatacenter(bench.DCConfig{Groups: 2, HostsPerGroup: 1})
-	f.Fuzz(func(t *testing.T, line []byte) {
-		changes, err := incr.DecodeChangeSet(d.Net, line)
-		if err != nil && changes != nil {
-			t.Fatalf("decode returned changes alongside error %v", err)
-		}
-	})
+	f.Fuzz(checkDecodePaths)
 }
 
-// FuzzDecodeProposeSet hardens the transactional decoder: arbitrary
-// change arrays must decode or fail cleanly without ever mutating live
-// state (propose decoding clones; only Commit may change the network) and
-// a successful decode must contain only pure changes.
+// FuzzDecodeProposeSet hardens the transactional decoder on the change
+// arrays a propose envelope carries; see checkDecodePaths for what each
+// input must satisfy.
 func FuzzDecodeProposeSet(f *testing.F) {
 	seeds := []string{
 		`[{"op":"fw_allow","node":"fw1","src":"10.0.0.0/24","dst":"10.1.0.0/24"}]`,
@@ -560,27 +557,97 @@ func FuzzDecodeProposeSet(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
-	d := bench.NewDatacenter(bench.DCConfig{Groups: 2, HostsPerGroup: 1})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var wires []incr.WireChange
-		if json.Unmarshal(data, &wires) != nil {
-			t.Skip()
+	f.Fuzz(checkDecodePaths)
+}
+
+// checkDecodePaths runs one input through both paths of the wire decoder:
+// in place (DecodeChangeSet, as applies decode) and shadowed
+// (DecodeProposeSet, as proposals decode), each over a fresh network.
+// Arbitrary lines must decode or fail cleanly, never panic; both paths
+// accept the same lines, except that propose rejects box_reconfig as
+// impure; propose never mutates the live network; and on success every
+// firewall edited in place equals the last propose clone for its node
+// and round-trips through netdesc's box codec unchanged.
+func checkDecodePaths(t *testing.T, line []byte) {
+	newNet := func() *bench.Datacenter { return bench.NewDatacenter(bench.DCConfig{Groups: 2, HostsPerGroup: 1}) }
+	live := newNet()
+	changes, err := incr.DecodeChangeSet(live.Net, line)
+	if err != nil && changes != nil {
+		t.Fatalf("decode returned changes alongside error %v", err)
+	}
+
+	// The propose path gets the same change list, split as
+	// DecodeChangeSet splits a line.
+	trimmed := bytes.TrimSpace(line)
+	if len(trimmed) == 0 {
+		return
+	}
+	var wires []incr.WireChange
+	perr := json.Unmarshal(line, &wires)
+	if trimmed[0] != '[' {
+		var w incr.WireChange
+		perr = json.Unmarshal(line, &w)
+		wires = []incr.WireChange{w}
+	}
+	shadow := newNet()
+	boxes := append([]mbox.Instance(nil), shadow.Net.Boxes...)
+	acls := [][]mbox.ACLEntry{slices.Clone(shadow.FWPrimary.ACL), slices.Clone(shadow.FWBackup.ACL)}
+	proposed, perr2 := []incr.Change(nil), perr
+	if perr == nil {
+		proposed, perr2 = incr.DecodeProposeSet(shadow.Net, wires)
+	}
+	if !slices.Equal(boxes, shadow.Net.Boxes) ||
+		!slices.Equal(acls[0], shadow.FWPrimary.ACL) || !slices.Equal(acls[1], shadow.FWBackup.ACL) {
+		t.Fatal("propose decode mutated the live network")
+	}
+	if (err == nil) != (perr2 == nil) && !(err == nil && errors.Is(perr2, incr.ErrImpureChange)) {
+		t.Fatalf("decode paths disagree: in place %v, propose %v", err, perr2)
+	}
+	if err != nil || perr2 != nil {
+		return
+	}
+
+	if len(proposed) != len(changes) {
+		t.Fatalf("propose decoded %d changes, in place %d", len(proposed), len(changes))
+	}
+	last := map[topo.NodeID]*mbox.LearningFirewall{}
+	for i, ch := range proposed {
+		if ch.Kind != changes[i].Kind || ch.Node != changes[i].Node {
+			t.Fatalf("change %d: propose %v at %d, in place %v at %d", i, ch.Kind, ch.Node, changes[i].Kind, changes[i].Node)
 		}
-		aclBefore := len(d.FWPrimary.ACL)
-		changes, err := incr.DecodeProposeSet(d.Net, wires)
-		if len(d.FWPrimary.ACL) != aclBefore {
-			t.Fatalf("propose decode mutated the live firewall (%d -> %d entries)",
-				aclBefore, len(d.FWPrimary.ACL))
-		}
-		if err != nil {
-			return
-		}
-		for _, ch := range changes {
-			if ch.Kind == incr.KindBoxReconfig && ch.Model == nil {
+		if ch.Kind == incr.KindBoxReconfig {
+			if ch.Model == nil {
 				t.Fatal("propose decode produced an impure in-place reconfig")
 			}
+			last[ch.Node] = ch.Model.(*mbox.LearningFirewall)
 		}
-	})
+	}
+	reg := live.Net.Registry
+	for _, bx := range live.Net.Boxes {
+		clone, ok := last[bx.Node]
+		if !ok {
+			continue
+		}
+		fw := bx.Model.(*mbox.LearningFirewall)
+		if !sameFirewall(fw, clone) {
+			t.Fatalf("in-place firewall %+v differs from the propose clone %+v", fw, clone)
+		}
+		b, err := netdesc.ExportBox(fw.InstanceName, fw, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := netdesc.BuildBox(fw.InstanceName, b, reg)
+		if err != nil {
+			t.Fatalf("exported firewall does not build: %v", err)
+		}
+		if !sameFirewall(fw, back.(*mbox.LearningFirewall)) {
+			t.Fatalf("firewall %+v round-trips to %+v", fw, back)
+		}
+	}
+}
+
+func sameFirewall(a, b *mbox.LearningFirewall) bool {
+	return a.InstanceName == b.InstanceName && a.DefaultAllow == b.DefaultAllow && slices.Equal(a.ACL, b.ACL)
 }
 
 // FuzzDecodeRequest hardens the request-envelope parser the daemon runs

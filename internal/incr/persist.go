@@ -5,12 +5,16 @@ package incr
 // state — topology mutations, invariant set, the verdict cache with its
 // canonical renamings, and the client-request dedup map — snapshots
 // periodically so recovery is snapshot + journal-suffix replay instead
-// of a cold re-verify. The codec here is deliberately narrower than the
-// Change type: only changes expressible in durable terms (named nodes,
-// full middlebox state, wire-encodable invariants) are journaled; a
-// change outside that set (a FIBFor closure, a custom model) poisons
-// the journal with an explicit opaque tombstone so recovery degrades to
-// a cold start rather than silently restoring a state that diverged.
+// of a cold re-verify. Boxes and invariants are stored in the schema of
+// internal/netdesc (netdesc.Box, netdesc.Invariant), the one codec the
+// wire and description files use too: every box netdesc can export
+// (firewall, cache, NAT, IDPS, scrubber, load balancer, app firewall, WAN
+// optimizer, passthrough) is durable with its full configuration. The
+// codec is still narrower than the Change type: a change outside it (a
+// FIBFor closure, an added model, a reconfigured MDL or custom model, a
+// custom invariant) poisons the journal with an explicit opaque tombstone
+// so recovery degrades to a cold start rather than silently restoring a
+// state that diverged. Snapshots list such boxes by config hash only.
 // The recovery path additionally re-verifies a sampled subset of the
 // restored verdicts against fresh solves before trusting the store —
 // the invariant throughout is "never a wrong verdict": every failure
@@ -29,6 +33,7 @@ import (
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/logic"
 	"github.com/netverify/vmn/internal/mbox"
+	"github.com/netverify/vmn/internal/netdesc"
 	"github.com/netverify/vmn/internal/pkt"
 	"github.com/netverify/vmn/internal/slices"
 	"github.com/netverify/vmn/internal/store"
@@ -171,25 +176,17 @@ type journalRecord struct {
 // are journaled as the box's full post-change state (op box_state), so
 // replay does not depend on reproducing in-place mutations.
 type persistChange struct {
-	Op        string           `json:"op"`
-	Node      string           `json:"node,omitempty"`
-	Class     string           `json:"class,omitempty"`
-	Name      string           `json:"name,omitempty"`
-	Invariant *WireInvariant   `json:"inv,omitempty"`
-	FW        *persistFirewall `json:"fw,omitempty"`
+	Op        string             `json:"op"`
+	Node      string             `json:"node,omitempty"`
+	Class     string             `json:"class,omitempty"`
+	Name      string             `json:"name,omitempty"`
+	Invariant *netdesc.Invariant `json:"inv,omitempty"`
+	Box       *netdesc.Box       `json:"box,omitempty"`
 }
 
-type persistFirewall struct {
-	Name         string       `json:"name,omitempty"`
-	DefaultAllow bool         `json:"default_allow,omitempty"`
-	ACL          []persistACL `json:"acl,omitempty"`
-}
-
-type persistACL struct {
-	Src   string `json:"src"`
-	Dst   string `json:"dst"`
-	Allow bool   `json:"allow,omitempty"`
-}
+// snapshotVersion is the snapshot format; recovery cold-starts on any
+// other. Version 1 stored firewalls in a codec of their own.
+const snapshotVersion = 2
 
 type snapshotPayload struct {
 	Version int    `json:"version"`
@@ -201,18 +198,18 @@ type snapshotPayload struct {
 	Down       []string            `json:"down,omitempty"`
 	Policy     map[string]string   `json:"policy,omitempty"`
 	Boxes      []persistBox        `json:"boxes"`
-	Invariants []WireInvariant     `json:"invariants"`
+	Invariants []netdesc.Invariant `json:"invariants"`
 	Applied    map[string]int      `json:"applied,omitempty"`
 	Cache      []persistCacheEntry `json:"cache,omitempty"`
 }
 
-// persistBox records one middlebox: firewalls serialize their full
-// state; other models carry a config-key hash that must match the
-// freshly built network's model (detecting configuration drift).
+// persistBox records one middlebox: exportable models serialize their
+// full configuration; others (MDL) carry a config-key hash that must
+// match the freshly built network's model (detecting configuration drift).
 type persistBox struct {
-	Node       string           `json:"node"`
-	FW         *persistFirewall `json:"fw,omitempty"`
-	ConfigHash uint64           `json:"config_hash,omitempty"`
+	Node       string       `json:"node"`
+	Box        *netdesc.Box `json:"box,omitempty"`
+	ConfigHash uint64       `json:"config_hash,omitempty"`
 }
 
 // persistCacheEntry is one verdict-cache line, ordered oldest-first in
@@ -271,66 +268,6 @@ type persistPrefix struct {
 	L int    `json:"l"`
 }
 
-// invariant / firewall codecs ----------------------------------------------
-
-// EncodeInvariant is the inverse of DecodeInvariant: it renders a
-// built-in invariant into its wire form. Custom invariant types return
-// false — they are outside the durable codec (the persistence layer
-// then degrades explicitly rather than guessing).
-func EncodeInvariant(t *topo.Topology, i inv.Invariant) (*WireInvariant, bool) {
-	addr := func(a pkt.Addr) string {
-		if a == pkt.AddrNone {
-			return ""
-		}
-		return a.String()
-	}
-	switch v := i.(type) {
-	case inv.SimpleIsolation:
-		return &WireInvariant{Type: "simple_isolation", Dst: t.Node(v.Dst).Name, SrcAddr: v.SrcAddr.String(), Label: v.Label}, true
-	case inv.FlowIsolation:
-		return &WireInvariant{Type: "flow_isolation", Dst: t.Node(v.Dst).Name, SrcAddr: v.SrcAddr.String(), Label: v.Label}, true
-	case inv.Reachability:
-		return &WireInvariant{Type: "reachability", Dst: t.Node(v.Dst).Name, SrcAddr: v.SrcAddr.String(), Label: v.Label}, true
-	case inv.DataIsolation:
-		return &WireInvariant{Type: "data_isolation", Dst: t.Node(v.Dst).Name, Origin: v.Origin.String(), Label: v.Label}, true
-	case inv.Traversal:
-		w := &WireInvariant{Type: "traversal", Dst: t.Node(v.Dst).Name, SrcPrefix: v.SrcPrefix.String(), SrcAddr: addr(v.SrcAddr), Label: v.Label}
-		for _, via := range v.Vias {
-			w.Vias = append(w.Vias, t.Node(via).Name)
-		}
-		return w, true
-	}
-	return nil, false
-}
-
-func encodeFirewall(fw *mbox.LearningFirewall) *persistFirewall {
-	p := &persistFirewall{Name: fw.InstanceName, DefaultAllow: fw.DefaultAllow}
-	for _, e := range fw.ACL {
-		p.ACL = append(p.ACL, persistACL{Src: e.Src.String(), Dst: e.Dst.String(), Allow: e.Action == mbox.Allow})
-	}
-	return p
-}
-
-func decodeFirewall(p *persistFirewall) (*mbox.LearningFirewall, error) {
-	fw := &mbox.LearningFirewall{InstanceName: p.Name, DefaultAllow: p.DefaultAllow}
-	for _, e := range p.ACL {
-		src, err := parsePrefix(e.Src)
-		if err != nil {
-			return nil, err
-		}
-		dst, err := parsePrefix(e.Dst)
-		if err != nil {
-			return nil, err
-		}
-		if e.Allow {
-			fw.ACL = append(fw.ACL, mbox.AllowEntry(src, dst))
-		} else {
-			fw.ACL = append(fw.ACL, mbox.DenyEntry(src, dst))
-		}
-	}
-	return fw, nil
-}
-
 // change-set codec ---------------------------------------------------------
 
 // encodePersistChanges renders an APPLIED change-set into its durable
@@ -357,17 +294,18 @@ func (s *Session) encodePersistChanges(changes []Change) ([]persistChange, bool)
 				// reconfiguration, so neither does the journal.
 				continue
 			}
-			fw, ok := s.net.Boxes[bi].Model.(*mbox.LearningFirewall)
-			if !ok {
+			name := t.Node(ch.Node).Name
+			b, err := netdesc.ExportBox(name, s.net.Boxes[bi].Model, s.net.Registry)
+			if err != nil {
 				return nil, false
 			}
-			out = append(out, persistChange{Op: "box_state", Node: t.Node(ch.Node).Name, FW: encodeFirewall(fw)})
+			out = append(out, persistChange{Op: "box_state", Node: name, Box: b})
 		case KindInvAdd:
-			w, ok := EncodeInvariant(t, ch.Invariant)
-			if !ok {
+			w, err := netdesc.ExportInvariant(ch.Invariant, t)
+			if err != nil {
 				return nil, false
 			}
-			out = append(out, persistChange{Op: "inv_add", Invariant: w})
+			out = append(out, persistChange{Op: "inv_add", Invariant: &w})
 		case KindInvRemove:
 			out = append(out, persistChange{Op: "inv_remove", Name: ch.Name})
 		default:
@@ -402,7 +340,8 @@ type restoredLine struct {
 
 // replayChange applies one durable change to the scratch state,
 // validating against the evolving scratch roster.
-func (sc *restoreScratch) replayChange(t *topo.Topology, pc persistChange) error {
+func (sc *restoreScratch) replayChange(net *core.Network, pc persistChange) error {
+	t := net.Topo
 	node := func() (topo.NodeID, error) {
 		n, ok := t.ByName(pc.Node)
 		if !ok {
@@ -453,16 +392,16 @@ func (sc *restoreScratch) replayChange(t *topo.Topology, pc persistChange) error
 		if err != nil {
 			return err
 		}
-		if pc.FW == nil {
-			return fmt.Errorf("incr: box_state record without state")
+		if pc.Box == nil {
+			return fmt.Errorf("incr: box_state record at %q carries no box", pc.Node)
 		}
-		fw, err := decodeFirewall(pc.FW)
+		model, err := restoreBox(net, pc.Node, pc.Box)
 		if err != nil {
 			return err
 		}
 		for i, b := range sc.boxes {
 			if b.Node == n {
-				sc.boxes[i].Model = fw
+				sc.boxes[i].Model = model
 				return nil
 			}
 		}
@@ -471,7 +410,7 @@ func (sc *restoreScratch) replayChange(t *topo.Topology, pc persistChange) error
 		if pc.Invariant == nil {
 			return fmt.Errorf("incr: inv_add record without invariant")
 		}
-		i, err := DecodeInvariant(t, pc.Invariant)
+		i, err := resolveInvariant(t, pc.Invariant)
 		if err != nil {
 			return err
 		}
@@ -490,11 +429,24 @@ func (sc *restoreScratch) replayChange(t *topo.Topology, pc persistChange) error
 	return nil
 }
 
+// restoreBox rebuilds a stored box configuration. Models are named after
+// their node, as netdesc.Build and every network builder name them.
+func restoreBox(net *core.Network, node string, b *netdesc.Box) (mbox.Model, error) {
+	model, err := netdesc.BuildBox(node, b, net.Registry)
+	if err != nil {
+		return nil, fmt.Errorf("incr: stored box at %q: %v", node, err)
+	}
+	return model, nil
+}
+
 // configHash fingerprints everything outside the store that verdicts
 // depend on: solver options, scenarios, grouping/dirtying modes, and
-// the initial network shape the caller rebuilds from its own
-// configuration. A restored store whose hash differs was written by a
-// differently configured session — its verdicts do not transfer.
+// the initial network shape and box configurations the caller rebuilds
+// from its own configuration. A restored store whose hash differs was
+// written by a differently configured session — its verdicts do not
+// transfer. Box configurations count because restore replaces the
+// freshly built models with the stored ones: an edited initial
+// configuration must cold start, not be silently overridden.
 func (s *Session) configHash() uint64 {
 	b := []byte{1} // codec version
 	put := func(vs ...int64) {
@@ -536,6 +488,9 @@ func (s *Session) configHash() uint64 {
 	for _, bx := range s.net.Boxes {
 		put(int64(bx.Node))
 		puts(bx.Model.Type())
+		if ck, ok := bx.Model.(mbox.ConfigKeyer); ok {
+			b = ck.AppendConfigKey(b)
+		}
 	}
 	pol := make([]string, 0, len(s.net.PolicyClass))
 	for n, c := range s.net.PolicyClass {
@@ -652,7 +607,7 @@ func decodeRenaming(p *persistRenaming) *slices.Renaming {
 // runs journal-only (correct but cold-cache recovery).
 func (s *Session) encodeSnapshot() ([]byte, bool) {
 	t := s.net.Topo
-	snap := snapshotPayload{Version: 1, Config: s.store.cfg, Seq: s.seq}
+	snap := snapshotPayload{Version: snapshotVersion, Config: s.store.cfg, Seq: s.seq}
 	downNames := make([]string, 0, len(s.down))
 	for n := range s.down {
 		downNames = append(downNames, t.Node(n).Name)
@@ -667,19 +622,19 @@ func (s *Session) encodeSnapshot() ([]byte, bool) {
 	}
 	for _, bx := range s.net.Boxes {
 		pb := persistBox{Node: t.Node(bx.Node).Name}
-		if fw, ok := bx.Model.(*mbox.LearningFirewall); ok {
-			pb.FW = encodeFirewall(fw)
+		if b, err := netdesc.ExportBox(pb.Node, bx.Model, s.net.Registry); err == nil {
+			pb.Box = b
 		} else if ck, ok := bx.Model.(mbox.ConfigKeyer); ok {
 			pb.ConfigHash = fnv64.Sum(ck.AppendConfigKey(nil))
 		}
 		snap.Boxes = append(snap.Boxes, pb)
 	}
 	for _, i := range s.invs {
-		w, ok := EncodeInvariant(t, i)
-		if !ok {
+		w, err := netdesc.ExportInvariant(i, t)
+		if err != nil {
 			return nil, false
 		}
-		snap.Invariants = append(snap.Invariants, *w)
+		snap.Invariants = append(snap.Invariants, w)
 	}
 	if len(s.appliedIDs) > 0 {
 		snap.Applied = make(map[string]int, len(s.appliedIDs))
@@ -729,7 +684,7 @@ func (s *Session) restoreState(snapRaw []byte, recs [][]byte) error {
 		if err := json.Unmarshal(snapRaw, &snap); err != nil {
 			return fmt.Errorf("incr: snapshot undecodable: %w", err)
 		}
-		if snap.Version != 1 {
+		if snap.Version != snapshotVersion {
 			return fmt.Errorf("incr: snapshot version %d not supported", snap.Version)
 		}
 		if snap.Config != s.store.cfg {
@@ -755,8 +710,8 @@ func (s *Session) restoreState(snapRaw []byte, recs [][]byte) error {
 			sc.policy = nil
 		}
 		// The snapshot's box roster wins: boxes absent from it were
-		// removed before the snapshot; listed boxes must match (or, for
-		// firewalls, carry) the freshly built model.
+		// removed before the snapshot; listed boxes carry their model or
+		// must match the freshly built one.
 		inRoster := map[topo.NodeID]persistBox{}
 		for _, pb := range snap.Boxes {
 			n, ok := t.ByName(pb.Node)
@@ -772,12 +727,12 @@ func (s *Session) restoreState(snapRaw []byte, recs [][]byte) error {
 				continue // removed before the snapshot
 			}
 			delete(inRoster, bx.Node)
-			if pb.FW != nil {
-				fw, err := decodeFirewall(pb.FW)
+			if pb.Box != nil {
+				model, err := restoreBox(s.net, pb.Node, pb.Box)
 				if err != nil {
 					return err
 				}
-				bx.Model = fw
+				bx.Model = model
 			} else if pb.ConfigHash != 0 {
 				ck, ok := bx.Model.(mbox.ConfigKeyer)
 				if !ok || fnv64.Sum(ck.AppendConfigKey(nil)) != pb.ConfigHash {
@@ -792,7 +747,7 @@ func (s *Session) restoreState(snapRaw []byte, recs [][]byte) error {
 		}
 		sc.invs = sc.invs[:0]
 		for i := range snap.Invariants {
-			iv, err := DecodeInvariant(t, &snap.Invariants[i])
+			iv, err := resolveInvariant(t, &snap.Invariants[i])
 			if err != nil {
 				return err
 			}
@@ -826,7 +781,7 @@ func (s *Session) restoreState(snapRaw []byte, recs [][]byte) error {
 			return fmt.Errorf("incr: journal sequence not increasing (%d after %d)", rec.Seq, prevSeq)
 		}
 		for _, pc := range rec.Changes {
-			if err := sc.replayChange(t, pc); err != nil {
+			if err := sc.replayChange(s.net, pc); err != nil {
 				return err
 			}
 		}
@@ -971,7 +926,7 @@ func (st *sessStore) poison(seq int) {
 	if payload, err := json.Marshal(&rec); err == nil {
 		st.j.Append(payload)
 	}
-	st.degraded = "change-set outside the durable codec (fib provider, custom model, or custom invariant)"
+	st.degraded = "change-set outside the durable codec (fib provider, added model, MDL or custom model reconfiguration, or custom invariant)"
 }
 
 // fail disables persistence after an I/O error and removes the store:

@@ -9,16 +9,21 @@ package incr_test
 // crash_test.go.
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/netverify/vmn/internal/bench"
 	"github.com/netverify/vmn/internal/core"
 	"github.com/netverify/vmn/internal/incr"
 	"github.com/netverify/vmn/internal/inv"
+	"github.com/netverify/vmn/internal/mbox"
+	"github.com/netverify/vmn/internal/netdesc"
 	"github.com/netverify/vmn/internal/pkt"
+	"github.com/netverify/vmn/internal/store"
 	"github.com/netverify/vmn/internal/topo"
 )
 
@@ -173,24 +178,40 @@ func TestCorruptJournalExplicitColdStart(t *testing.T) {
 	}
 }
 
-// A store written under a different configuration (here: a different
-// invariant set) must not transfer: recovery detects the config-hash
-// mismatch and cold starts explicitly.
+// A store written under a different configuration must not transfer:
+// recovery detects the config-hash mismatch and cold starts explicitly.
+// That holds for a different invariant set and for an edited initial box
+// configuration, which the stored boxes must not silently override.
 func TestConfigDriftColdStart(t *testing.T) {
-	dir := t.TempDir()
-	_, s1, _ := newPersistDC(t, persistOpts(dir))
-	if err := s1.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	d := bench.NewDatacenter(bench.DCConfig{Groups: 3, HostsPerGroup: 1})
-	invs := d.AllIsolationInvariants()[:2] // drop invariants: different session config
-	s2, _, err := incr.NewSession(d.Net, core.Options{Engine: core.EngineSAT}, invs, persistOpts(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := s2.Recovery()
-	if !rec.ColdStart || rec.Recovered {
-		t.Fatalf("recovery = %+v, want cold start on config drift", rec)
+	for name, drift := range map[string]func(d *bench.Datacenter) []inv.Invariant{
+		"invariants": func(d *bench.Datacenter) []inv.Invariant {
+			return d.AllIsolationInvariants()[:2]
+		},
+		"box": func(d *bench.Datacenter) []inv.Invariant {
+			for i, bx := range d.Net.Boxes {
+				if bx.Node == d.IDS1 {
+					d.Net.Boxes[i].Model = mbox.NewIDPS("ids1", d.Net.Registry, pkt.AddrNone, bench.ClientPrefix(0))
+				}
+			}
+			return d.AllIsolationInvariants()
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			_, s1, _ := newPersistDC(t, persistOpts(dir))
+			if err := s1.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+			d := bench.NewDatacenter(bench.DCConfig{Groups: 3, HostsPerGroup: 1})
+			s2, _, err := incr.NewSession(d.Net, core.Options{Engine: core.EngineSAT}, drift(d), persistOpts(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := s2.Recovery()
+			if !rec.ColdStart || rec.Recovered {
+				t.Fatalf("recovery = %+v, want cold start on config drift", rec)
+			}
+		})
 	}
 }
 
@@ -259,8 +280,9 @@ func TestPersistStatus(t *testing.T) {
 	}
 }
 
-// EncodeInvariant must round-trip every built-in invariant type through
-// DecodeInvariant (snapshots and journals depend on it).
+// Snapshots and journals store invariants in netdesc's schema: every
+// built-in invariant type must round-trip through ExportInvariant and
+// ResolveInvariant.
 func TestEncodeInvariantRoundTrip(t *testing.T) {
 	d := bench.NewDatacenter(bench.DCConfig{Groups: 3, HostsPerGroup: 1})
 	topoT := d.Net.Topo
@@ -272,16 +294,151 @@ func TestEncodeInvariantRoundTrip(t *testing.T) {
 		inv.DataIsolation{Dst: d.Hosts[1][0], Origin: a0, Label: "di"},
 		inv.Traversal{Dst: d.Hosts[1][0], SrcPrefix: pkt.HostPrefix(a0), SrcAddr: a0, Vias: []topo.NodeID{d.FW1}, Label: "tr"},
 	} {
-		w, ok := incr.EncodeInvariant(topoT, c)
-		if !ok {
-			t.Fatalf("case %d: not encodable", i)
-		}
-		back, err := incr.DecodeInvariant(topoT, w)
+		w, err := netdesc.ExportInvariant(c, topoT)
 		if err != nil {
-			t.Fatalf("case %d: decode: %v", i, err)
+			t.Fatalf("case %d: not exportable: %v", i, err)
+		}
+		back, err := netdesc.ResolveInvariant(&w, topoT.ByName)
+		if err != nil {
+			t.Fatalf("case %d: resolve: %v", i, err)
 		}
 		if fmt.Sprintf("%#v", back) != fmt.Sprintf("%#v", c) {
 			t.Fatalf("case %d: round trip\n got %#v\nwant %#v", i, back, c)
 		}
 	}
+}
+
+// Every box netdesc can export is durable, not only firewalls: swapping a
+// cache's ACL keeps the journal healthy, and both a journal replay (after
+// a kill) and a snapshot restore (after a shutdown) come back warm, with
+// the verdicts and witnesses of a session that never restarted.
+func TestCacheSwapDurable(t *testing.T) {
+	opts := core.Options{Engine: core.EngineSAT}
+	newDC := func() (*bench.Datacenter, []inv.Invariant) {
+		d := bench.NewDatacenter(bench.DCConfig{Groups: 3, HostsPerGroup: 1, WithCaches: true})
+		return d, []inv.Invariant{d.DataIsolationInvariant(0), d.IsolationInvariant(0, 1)}
+	}
+	// cache0 shares a rack with guest 1; dropping its entries that protect
+	// priv0 leaks priv0's content to that guest.
+	swap := func(d *bench.Datacenter) []incr.Change {
+		c := &mbox.ContentCache{InstanceName: "cache0", DefaultServe: true}
+		for _, e := range d.CacheBoxes[0].ACL {
+			if !e.Dst.Matches(bench.PrivateAddr(0)) {
+				c.ACL = append(c.ACL, e)
+			}
+		}
+		return []incr.Change{incr.BoxSwap(d.Caches[0], c)}
+	}
+
+	dU, invsU := newDC()
+	sU, _, err := incr.NewSession(dU.Net, opts, invsU, incr.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sU.Apply(swap(dU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want[0].Satisfied {
+		t.Fatal("the cache swap should break data isolation")
+	}
+
+	dir := t.TempDir()
+	dA, invsA := newDC()
+	sA, _, err := incr.NewSession(dA.Net, opts, invsA, persistOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sA.Apply(swap(dA)); err != nil {
+		t.Fatal(err)
+	}
+	if ps := sA.PersistStatus(); ps.Degraded != "" || ps.JournalRecords != 1 {
+		t.Fatalf("cache swap not journaled: %+v", ps)
+	}
+	// Killed: abandoned without Shutdown, so recovery replays the journal.
+
+	for _, step := range []string{"journal replay", "snapshot restore"} {
+		dB, invsB := newDC()
+		sB, got, err := incr.NewSession(dB.Net, opts, invsB, persistOpts(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := sB.Recovery(); !rec.Recovered || rec.ColdStart || rec.SampleMismatch {
+			t.Fatalf("%s: recovery = %+v, want warm restart", step, rec)
+		}
+		if ps := sB.PersistStatus(); ps.Degraded != "" {
+			t.Fatalf("%s: status degraded: %+v", step, ps)
+		}
+		compareReports(t, step, got, want)
+		compareWitnesses(t, step, got, want)
+		if err := sB.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A store written before boxes and invariants shared netdesc's codec
+// must cold start explicitly, with a reason, and restore none of its
+// state: neither a version-1 snapshot nor a journal holding a version-1
+// box_state record (a firewall in its own "fw" codec).
+func TestOldFormatStoreColdStart(t *testing.T) {
+	extra := func(d *bench.Datacenter) []incr.Change {
+		return []incr.Change{incr.AddInvariant(inv.Reachability{
+			Dst: d.Hosts[1][0], SrcAddr: bench.HostAddr(0, 0), Label: "extra"})}
+	}
+	coldStart := func(t *testing.T, dir, reason string) {
+		t.Helper()
+		_, s, got := newPersistDC(t, persistOpts(dir))
+		rec := s.Recovery()
+		if !rec.ColdStart || rec.Recovered || !strings.Contains(rec.Reason, reason) {
+			t.Fatalf("recovery = %+v, want a cold start because of %q", rec, reason)
+		}
+		_, _, want := newPersistDC(t, incr.Options{})
+		compareReports(t, "cold start", got, want) // the extra invariant is gone
+		compareWitnesses(t, "cold start", got, want)
+	}
+
+	t.Run("v1-snapshot", func(t *testing.T) {
+		dir := t.TempDir()
+		d, s, _ := newPersistDC(t, persistOpts(dir))
+		if _, err := s.Apply(extra(d)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "snapshot.vmn")
+		raw, err := store.ReadSnapshot(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v1 := bytes.Replace(raw, []byte(`{"version":2,`), []byte(`{"version":1,`), 1)
+		if bytes.Equal(v1, raw) {
+			t.Fatalf("snapshot does not start with its version: %.40s", raw)
+		}
+		if err := store.WriteSnapshot(path, v1); err != nil {
+			t.Fatal(err)
+		}
+		coldStart(t, dir, "snapshot version 1")
+	})
+
+	t.Run("v1-box-state", func(t *testing.T) {
+		dir := t.TempDir()
+		d, s, _ := newPersistDC(t, persistOpts(dir))
+		if _, err := s.Apply(extra(d)); err != nil {
+			t.Fatal(err)
+		}
+		// Killed after a version-1 daemon journaled a firewall edit.
+		seq := s.LastApply().Seq + 1
+		j, _, err := store.OpenJournal(filepath.Join(dir, "journal.wal"), store.SyncAlways)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := fmt.Sprintf(`{"seq":%d,"changes":[{"op":"box_state","node":"fw1","fw":{"name":"fw1","default_allow":true,"acl":[{"src":"10.0.0.0/24","dst":"10.1.0.0/24"}]}}]}`, seq)
+		if err := j.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		coldStart(t, dir, "box_state")
+	})
 }

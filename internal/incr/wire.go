@@ -3,7 +3,10 @@ package incr
 // The newline-delimited JSON wire protocol of cmd/vmnd. Each input line is
 // one change-set: either a single change object or an array of them,
 // applied atomically. Each output line is one Result. Nodes are referenced
-// by topology name, addresses in dotted-quad form, prefixes in CIDR form.
+// by topology name and addresses in dotted-quad form. Invariants and
+// prefixes use the topology-file schema of internal/netdesc
+// (netdesc.Invariant, ParsePrefix): the wire, the session journal and its
+// snapshots share that one codec with description files.
 //
 //	{"op":"node_down","node":"fw1"}
 //	[{"op":"fw_del","node":"fw1","src":"10.0.0.0/24","dst":"10.1.0.0/24"},
@@ -35,13 +38,14 @@ package incr
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"github.com/netverify/vmn/internal/core"
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/mbox"
+	"github.com/netverify/vmn/internal/netdesc"
 	"github.com/netverify/vmn/internal/obs"
 	"github.com/netverify/vmn/internal/pkt"
 	"github.com/netverify/vmn/internal/topo"
@@ -49,13 +53,13 @@ import (
 
 // WireChange is the JSON form of one change.
 type WireChange struct {
-	Op        string         `json:"op"`
-	Node      string         `json:"node,omitempty"`
-	Class     string         `json:"class,omitempty"`
-	Src       string         `json:"src,omitempty"` // CIDR prefix
-	Dst       string         `json:"dst,omitempty"` // CIDR prefix
-	Invariant *WireInvariant `json:"invariant,omitempty"`
-	Name      string         `json:"name,omitempty"`
+	Op        string             `json:"op"`
+	Node      string             `json:"node,omitempty"`
+	Class     string             `json:"class,omitempty"`
+	Src       string             `json:"src,omitempty"` // netdesc prefix syntax
+	Dst       string             `json:"dst,omitempty"` // netdesc prefix syntax
+	Invariant *netdesc.Invariant `json:"invariant,omitempty"`
+	Name      string             `json:"name,omitempty"`
 }
 
 // WireRequest is the JSON envelope of one non-array vmnd input line: a
@@ -66,17 +70,6 @@ type WireRequest struct {
 	WireChange
 	Id      string       `json:"id,omitempty"`
 	Changes []WireChange `json:"changes,omitempty"`
-}
-
-// WireInvariant is the JSON form of an invariant.
-type WireInvariant struct {
-	Type      string   `json:"type"` // simple_isolation | flow_isolation | data_isolation | reachability | traversal
-	Dst       string   `json:"dst"`  // node name
-	SrcAddr   string   `json:"src_addr,omitempty"`
-	Origin    string   `json:"origin,omitempty"`
-	SrcPrefix string   `json:"src_prefix,omitempty"`
-	Vias      []string `json:"vias,omitempty"` // node names
-	Label     string   `json:"label,omitempty"`
 }
 
 // WireReport is the JSON form of one core.Report.
@@ -384,29 +377,6 @@ func EncodeExplain(t *topo.Topology, id string, seq int, recs []ExplainRecord) W
 	return out
 }
 
-func parsePrefix(s string) (pkt.Prefix, error) {
-	if s == "" || s == "*" {
-		return pkt.Prefix{}, nil
-	}
-	addrStr, lenStr, ok := strings.Cut(s, "/")
-	if !ok {
-		a, err := pkt.ParseAddr(s)
-		if err != nil {
-			return pkt.Prefix{}, err
-		}
-		return pkt.HostPrefix(a), nil
-	}
-	a, err := pkt.ParseAddr(addrStr)
-	if err != nil {
-		return pkt.Prefix{}, err
-	}
-	n, err := strconv.Atoi(lenStr)
-	if err != nil || n < 0 || n > 32 {
-		return pkt.Prefix{}, fmt.Errorf("incr: malformed prefix length in %q", s)
-	}
-	return pkt.Prefix{Addr: a, Len: n}, nil
-}
-
 func nodeByName(t *topo.Topology, name string) (topo.NodeID, error) {
 	n, ok := t.ByName(name)
 	if !ok {
@@ -415,158 +385,110 @@ func nodeByName(t *topo.Topology, name string) (topo.NodeID, error) {
 	return n.ID, nil
 }
 
-// DecodeInvariant resolves a WireInvariant against the topology.
-func DecodeInvariant(t *topo.Topology, w *WireInvariant) (inv.Invariant, error) {
-	dst, err := nodeByName(t, w.Dst)
+// resolveInvariant decodes a schema invariant against the topology
+// (netdesc.ResolveInvariant). A malformed address or prefix is reported
+// as its parse error, any other rejection under this package's prefix.
+func resolveInvariant(t *topo.Topology, w *netdesc.Invariant) (inv.Invariant, error) {
+	i, err := netdesc.ResolveInvariant(w, t.ByName)
+	if err != nil {
+		if cause := errors.Unwrap(err); cause != nil {
+			return nil, cause
+		}
+		return nil, fmt.Errorf("incr: %s", err.(*netdesc.Error).Msg)
+	}
+	return i, nil
+}
+
+// firewallEdit is a validated fw_allow, fw_deny or fw_del: the learning
+// firewall modelled at node and the ACL entry the op prepends or deletes.
+type firewallEdit struct {
+	node     topo.NodeID
+	fw       *mbox.LearningFirewall
+	op       string
+	src, dst pkt.Prefix
+}
+
+// apply returns acl with the edit applied: fw_allow and fw_deny prepend
+// their entry, fw_del drops every entry with these prefixes (filtering
+// acl in place).
+func (e *firewallEdit) apply(acl []mbox.ACLEntry) []mbox.ACLEntry {
+	switch e.op {
+	case "fw_allow":
+		return append([]mbox.ACLEntry{mbox.AllowEntry(e.src, e.dst)}, acl...)
+	case "fw_deny":
+		return append([]mbox.ACLEntry{mbox.DenyEntry(e.src, e.dst)}, acl...)
+	}
+	kept := acl[:0]
+	for _, x := range acl {
+		if x.Src != e.src || x.Dst != e.dst {
+			kept = append(kept, x)
+		}
+	}
+	return kept
+}
+
+// decodeFirewallEdit resolves a firewall op against the network.
+func decodeFirewallEdit(net *core.Network, w WireChange) (*firewallEdit, error) {
+	n, err := nodeByName(net.Topo, w.Node)
 	if err != nil {
 		return nil, err
 	}
-	switch w.Type {
-	case "simple_isolation", "flow_isolation", "reachability":
-		a, err := pkt.ParseAddr(w.SrcAddr)
-		if err != nil {
-			return nil, err
-		}
-		switch w.Type {
-		case "simple_isolation":
-			return inv.SimpleIsolation{Dst: dst, SrcAddr: a, Label: w.Label}, nil
-		case "flow_isolation":
-			return inv.FlowIsolation{Dst: dst, SrcAddr: a, Label: w.Label}, nil
-		default:
-			return inv.Reachability{Dst: dst, SrcAddr: a, Label: w.Label}, nil
-		}
-	case "data_isolation":
-		o, err := pkt.ParseAddr(w.Origin)
-		if err != nil {
-			return nil, err
-		}
-		return inv.DataIsolation{Dst: dst, Origin: o, Label: w.Label}, nil
-	case "traversal":
-		p, err := parsePrefix(w.SrcPrefix)
-		if err != nil {
-			return nil, err
-		}
-		var srcAddr pkt.Addr
-		if w.SrcAddr != "" {
-			if srcAddr, err = pkt.ParseAddr(w.SrcAddr); err != nil {
-				return nil, err
+	e := &firewallEdit{node: n, op: w.Op}
+	for _, b := range net.Boxes {
+		if b.Node == n {
+			var ok bool
+			if e.fw, ok = b.Model.(*mbox.LearningFirewall); !ok {
+				return nil, fmt.Errorf("incr: node %q is not a learning firewall", w.Node)
 			}
+			break
 		}
-		var vias []topo.NodeID
-		for _, name := range w.Vias {
-			id, err := nodeByName(t, name)
-			if err != nil {
-				return nil, err
-			}
-			vias = append(vias, id)
-		}
-		return inv.Traversal{Dst: dst, SrcPrefix: p, SrcAddr: srcAddr, Vias: vias, Label: w.Label}, nil
-	default:
-		return nil, fmt.Errorf("incr: unknown invariant type %q", w.Type)
 	}
+	if e.fw == nil {
+		return nil, fmt.Errorf("incr: no middlebox model at %q", w.Node)
+	}
+	if e.src, err = netdesc.ParsePrefix(w.Src); err != nil {
+		return nil, err
+	}
+	if e.dst, err = netdesc.ParsePrefix(w.Dst); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
-// DecodeChange resolves one wire change against the session's network.
-// Firewall ops mutate the targeted LearningFirewall in place and return
-// the matching BoxReconfig change, per the Session change protocol. For
-// multi-change lines use DecodeChangeSet, which defers all in-place
-// mutations until the whole set has validated (atomicity).
-func DecodeChange(net *core.Network, w WireChange) (Change, error) {
-	ch, mutate, err := decodeChange(net, w)
-	if err != nil {
-		return Change{}, err
-	}
-	if mutate != nil {
-		mutate()
-	}
-	return ch, nil
-}
-
-// decodeChange validates one wire change and returns it plus a deferred
-// in-place mutation (nil for ops that mutate nothing themselves). No
-// network state is touched until the returned closure runs.
-func decodeChange(net *core.Network, w WireChange) (Change, func(), error) {
+// decodeChange validates one wire change without touching network
+// state. A firewall op also returns its ACL edit, which the caller
+// applies to the live firewall (DecodeChanges) or to a clone
+// (DecodeProposeSet).
+func decodeChange(net *core.Network, w WireChange) (Change, *firewallEdit, error) {
 	t := net.Topo
 	switch w.Op {
-	case "node_down":
+	case "node_down", "node_up", "relabel", "box_remove", "box_reconfig":
 		n, err := nodeByName(t, w.Node)
 		if err != nil {
 			return Change{}, nil, err
 		}
-		return NodeDown(n), nil, nil
-	case "node_up":
-		n, err := nodeByName(t, w.Node)
-		if err != nil {
-			return Change{}, nil, err
-		}
-		return NodeUp(n), nil, nil
-	case "relabel":
-		n, err := nodeByName(t, w.Node)
-		if err != nil {
-			return Change{}, nil, err
-		}
-		return Relabel(n, w.Class), nil, nil
-	case "box_remove":
-		n, err := nodeByName(t, w.Node)
-		if err != nil {
-			return Change{}, nil, err
-		}
-		return BoxRemove(n), nil, nil
-	case "box_reconfig":
-		n, err := nodeByName(t, w.Node)
-		if err != nil {
-			return Change{}, nil, err
+		switch w.Op {
+		case "node_down":
+			return NodeDown(n), nil, nil
+		case "node_up":
+			return NodeUp(n), nil, nil
+		case "relabel":
+			return Relabel(n, w.Class), nil, nil
+		case "box_remove":
+			return BoxRemove(n), nil, nil
 		}
 		return BoxReconfig(n), nil, nil
 	case "fw_allow", "fw_deny", "fw_del":
-		n, err := nodeByName(t, w.Node)
+		e, err := decodeFirewallEdit(net, w)
 		if err != nil {
 			return Change{}, nil, err
 		}
-		var fw *mbox.LearningFirewall
-		for _, b := range net.Boxes {
-			if b.Node == n {
-				var ok bool
-				if fw, ok = b.Model.(*mbox.LearningFirewall); !ok {
-					return Change{}, nil, fmt.Errorf("incr: node %q is not a learning firewall", w.Node)
-				}
-				break
-			}
-		}
-		if fw == nil {
-			return Change{}, nil, fmt.Errorf("incr: no middlebox model at %q", w.Node)
-		}
-		src, err := parsePrefix(w.Src)
-		if err != nil {
-			return Change{}, nil, err
-		}
-		dst, err := parsePrefix(w.Dst)
-		if err != nil {
-			return Change{}, nil, err
-		}
-		op := w.Op
-		mutate := func() {
-			switch op {
-			case "fw_allow":
-				fw.ACL = append([]mbox.ACLEntry{mbox.AllowEntry(src, dst)}, fw.ACL...)
-			case "fw_deny":
-				fw.ACL = append([]mbox.ACLEntry{mbox.DenyEntry(src, dst)}, fw.ACL...)
-			default: // fw_del: remove every entry with these prefixes
-				kept := fw.ACL[:0]
-				for _, e := range fw.ACL {
-					if e.Src != src || e.Dst != dst {
-						kept = append(kept, e)
-					}
-				}
-				fw.ACL = kept
-			}
-		}
-		return BoxReconfig(n), mutate, nil
+		return BoxReconfig(e.node), e, nil
 	case "inv_add":
 		if w.Invariant == nil {
 			return Change{}, nil, fmt.Errorf("incr: inv_add needs an invariant")
 		}
-		i, err := DecodeInvariant(t, w.Invariant)
+		i, err := resolveInvariant(t, w.Invariant)
 		if err != nil {
 			return Change{}, nil, err
 		}
@@ -605,38 +527,40 @@ func DecodeChangeSet(net *core.Network, line []byte) ([]Change, error) {
 
 // DecodeChanges resolves a list of wire changes with the same atomicity
 // contract as DecodeChangeSet: every change validates before any
-// in-place mutation runs, so a decode error leaves the network
-// untouched. The apply_batch envelope decodes through here.
+// firewall edit runs, so a decode error leaves the network untouched.
+// Firewall ops edit the targeted LearningFirewall in place and announce
+// it as a BoxReconfig, per the Session change protocol. The apply_batch
+// envelope decodes through here.
 func DecodeChanges(net *core.Network, wires []WireChange) ([]Change, error) {
 	var out []Change
-	var mutations []func()
+	var edits []*firewallEdit
 	for _, w := range wires {
 		if w.Op == "noop" || w.Op == "" {
 			continue
 		}
-		ch, mutate, err := decodeChange(net, w)
+		ch, edit, err := decodeChange(net, w)
 		if err != nil {
 			return nil, err
 		}
-		if mutate != nil {
-			mutations = append(mutations, mutate)
+		if edit != nil {
+			edits = append(edits, edit)
 		}
 		out = append(out, ch)
 	}
-	for _, mutate := range mutations {
-		mutate()
+	for _, e := range edits {
+		e.fw.ACL = e.apply(e.fw.ACL)
 	}
 	return out, nil
 }
 
 // DecodeProposeSet resolves a proposed change-set without touching live
-// state: where DecodeChangeSet's firewall ops mutate the targeted
-// LearningFirewall in place, the propose path clones it, edits the clone,
-// and emits a model swap — the live model stays untouched until Commit
-// installs the shadow. Successive firewall ops on the same node chain
-// their clones, so they compose exactly as the in-place path would.
-// In-place box_reconfig (no replacement model) cannot be shadowed and is
-// rejected with ErrImpureChange.
+// state: where DecodeChanges edits the targeted LearningFirewall in
+// place, the propose path edits a clone and emits a model swap — the
+// live model stays untouched until Commit installs the shadow. Successive
+// firewall ops on the same node chain their clones, so they compose
+// exactly as the in-place path would. In-place box_reconfig (no
+// replacement model) cannot be shadowed and is rejected with
+// ErrImpureChange.
 func DecodeProposeSet(net *core.Network, wires []WireChange) ([]Change, error) {
 	var out []Change
 	clones := map[topo.NodeID]*mbox.LearningFirewall{}
@@ -644,78 +568,27 @@ func DecodeProposeSet(net *core.Network, wires []WireChange) ([]Change, error) {
 		if w.Op == "noop" || w.Op == "" {
 			continue
 		}
-		switch w.Op {
-		case "box_reconfig":
+		if w.Op == "box_reconfig" {
 			return nil, ErrImpureChange
-		case "fw_allow", "fw_deny", "fw_del":
-			n, err := nodeByName(net.Topo, w.Node)
-			if err != nil {
-				return nil, err
-			}
-			fw := clones[n]
-			if fw == nil {
-				var live *mbox.LearningFirewall
-				for _, b := range net.Boxes {
-					if b.Node == n {
-						var ok bool
-						if live, ok = b.Model.(*mbox.LearningFirewall); !ok {
-							return nil, fmt.Errorf("incr: node %q is not a learning firewall", w.Node)
-						}
-						break
-					}
-				}
-				if live == nil {
-					return nil, fmt.Errorf("incr: no middlebox model at %q", w.Node)
-				}
-				fw = &mbox.LearningFirewall{
-					InstanceName: live.InstanceName,
-					ACL:          append([]mbox.ACLEntry(nil), live.ACL...),
-					DefaultAllow: live.DefaultAllow,
-				}
-			} else {
-				// Chain: snapshot the previous op's clone so each change
-				// carries its own model.
-				fw = &mbox.LearningFirewall{
-					InstanceName: fw.InstanceName,
-					ACL:          append([]mbox.ACLEntry(nil), fw.ACL...),
-					DefaultAllow: fw.DefaultAllow,
-				}
-			}
-			src, err := parsePrefix(w.Src)
-			if err != nil {
-				return nil, err
-			}
-			dst, err := parsePrefix(w.Dst)
-			if err != nil {
-				return nil, err
-			}
-			switch w.Op {
-			case "fw_allow":
-				fw.ACL = append([]mbox.ACLEntry{mbox.AllowEntry(src, dst)}, fw.ACL...)
-			case "fw_deny":
-				fw.ACL = append([]mbox.ACLEntry{mbox.DenyEntry(src, dst)}, fw.ACL...)
-			default: // fw_del
-				kept := fw.ACL[:0]
-				for _, e := range fw.ACL {
-					if e.Src != src || e.Dst != dst {
-						kept = append(kept, e)
-					}
-				}
-				fw.ACL = kept
-			}
-			clones[n] = fw
-			out = append(out, BoxSwap(n, fw))
-		default:
-			ch, mutate, err := decodeChange(net, w)
-			if err != nil {
-				return nil, err
-			}
-			if mutate != nil {
-				// Defensive: no remaining op should defer a live mutation.
-				return nil, ErrImpureChange
-			}
-			out = append(out, ch)
 		}
+		ch, edit, err := decodeChange(net, w)
+		if err != nil {
+			return nil, err
+		}
+		if edit != nil {
+			base := clones[edit.node]
+			if base == nil {
+				base = edit.fw
+			}
+			fw := &mbox.LearningFirewall{
+				InstanceName: base.InstanceName,
+				ACL:          edit.apply(append([]mbox.ACLEntry(nil), base.ACL...)),
+				DefaultAllow: base.DefaultAllow,
+			}
+			clones[edit.node] = fw
+			ch = BoxSwap(edit.node, fw)
+		}
+		out = append(out, ch)
 	}
 	return out, nil
 }

@@ -63,6 +63,8 @@ func TestWireDecodeErrors(t *testing.T) {
 		`{"op":"frobnicate"}`,
 		`{"op":"fw_del","node":"ids1","src":"10.0.0.0/24","dst":"10.1.0.0/24"}`, // not a firewall
 		`{"op":"inv_add","invariant":{"type":"weird","dst":"h0-0"}}`,
+		`{"op":"inv_add","invariant":{"type":"traversal","dst":"h1-0","src_prefix":"10.0.0.0/24","vias":[]}}`,
+		`{"op":"inv_add","invariant":{"type":"traversal","dst":"h1-0","src_prefix":"10.0.0.0/24","vias":["h0-0"]}}`,
 		`{"op":"fw_deny","node":"fw1","src":"999.0.0.0/24","dst":"*"}`,
 		`not json at all`,
 	}

@@ -110,7 +110,11 @@ func Build(d *Desc, baseDir string) (*core.Network, []inv.Invariant, error) {
 
 	var invs []inv.Invariant
 	for i := range d.Invariants {
-		invs = append(invs, buildInvariant(&d.Invariants[i], ids))
+		iv, err := ResolveInvariant(&d.Invariants[i], t.ByName)
+		if err != nil {
+			return nil, nil, err
+		}
+		invs = append(invs, iv)
 	}
 
 	net := &core.Network{
@@ -152,6 +156,20 @@ func buildACL(acl []ACLRule) []mbox.ACLEntry {
 		out = append(out, mbox.ACLEntry{Src: src, Dst: dst, Action: action})
 	}
 	return out
+}
+
+// BuildBox validates b and builds its model under the instance name name.
+// reg resolves the abstract classes IDPS, scrubber and app-firewall boxes
+// consult. An MDL box needs its bundle file, so it builds only as part of
+// a description and is rejected here.
+func BuildBox(name string, b *Box, reg *pkt.Registry) (mbox.Model, error) {
+	if b.Type == "mdl" {
+		return nil, errf("", "box.type", "an mdl box builds only from a description file")
+	}
+	if err := validateBox(b, "", "box"); err != nil {
+		return nil, err
+	}
+	return buildModel(name, b, reg, nil, "", 0)
 }
 
 func buildModel(name string, b *Box, reg *pkt.Registry, bundles map[string]*mdl.Class, baseDir string, idx int) (mbox.Model, error) {
@@ -299,27 +317,69 @@ func configSet(xs []any) (any, error) {
 	}
 }
 
-func buildInvariant(w *Invariant, ids map[string]topo.NodeID) inv.Invariant {
-	dst := ids[w.Dst]
+// ResolveInvariant validates w and builds the invariant it denotes. node
+// looks a node up by name (topo.Topology.ByName fits); vias must name
+// middleboxes. Errors are *Error with Field relative to the invariant
+// ("dst", "vias[1]"), and Err set when an address or prefix failed to
+// parse. Description files, the vmnd wire, the session journal and its
+// snapshots all decode invariants here.
+func ResolveInvariant(w *Invariant, node func(string) (topo.Node, bool)) (inv.Invariant, error) {
+	dst, ok := node(w.Dst)
+	if !ok {
+		return nil, &Error{Field: "dst", Msg: fmt.Sprintf("no node named %q", w.Dst)}
+	}
+	addr := func(field, s string) (pkt.Addr, error) {
+		a, err := pkt.ParseAddr(s)
+		if err != nil {
+			return 0, &Error{Field: field, Msg: err.Error(), Err: err}
+		}
+		return a, nil
+	}
 	switch w.Type {
-	case "simple_isolation":
-		return inv.SimpleIsolation{Dst: dst, SrcAddr: pkt.MustParseAddr(w.SrcAddr), Label: w.Label}
-	case "flow_isolation":
-		return inv.FlowIsolation{Dst: dst, SrcAddr: pkt.MustParseAddr(w.SrcAddr), Label: w.Label}
-	case "reachability":
-		return inv.Reachability{Dst: dst, SrcAddr: pkt.MustParseAddr(w.SrcAddr), Label: w.Label}
+	case "simple_isolation", "flow_isolation", "reachability":
+		a, err := addr("src_addr", w.SrcAddr)
+		if err != nil {
+			return nil, err
+		}
+		switch w.Type {
+		case "simple_isolation":
+			return inv.SimpleIsolation{Dst: dst.ID, SrcAddr: a, Label: w.Label}, nil
+		case "flow_isolation":
+			return inv.FlowIsolation{Dst: dst.ID, SrcAddr: a, Label: w.Label}, nil
+		}
+		return inv.Reachability{Dst: dst.ID, SrcAddr: a, Label: w.Label}, nil
 	case "data_isolation":
-		return inv.DataIsolation{Dst: dst, Origin: pkt.MustParseAddr(w.Origin), Label: w.Label}
-	default: // traversal
-		p, _ := ParsePrefix(w.SrcPrefix)
+		o, err := addr("origin", w.Origin)
+		if err != nil {
+			return nil, err
+		}
+		return inv.DataIsolation{Dst: dst.ID, Origin: o, Label: w.Label}, nil
+	case "traversal":
+		p, err := ParsePrefix(w.SrcPrefix)
+		if err != nil {
+			return nil, &Error{Field: "src_prefix", Msg: err.Error(), Err: err}
+		}
 		var srcAddr pkt.Addr
 		if w.SrcAddr != "" {
-			srcAddr = pkt.MustParseAddr(w.SrcAddr)
+			if srcAddr, err = addr("src_addr", w.SrcAddr); err != nil {
+				return nil, err
+			}
 		}
-		var vias []topo.NodeID
-		for _, v := range w.Vias {
-			vias = append(vias, ids[v])
+		if len(w.Vias) == 0 {
+			return nil, &Error{Field: "vias", Msg: "traversal needs at least one via"}
 		}
-		return inv.Traversal{Dst: dst, SrcPrefix: p, SrcAddr: srcAddr, Vias: vias, Label: w.Label}
+		vias := make([]topo.NodeID, len(w.Vias))
+		for j, name := range w.Vias {
+			n, ok := node(name)
+			if !ok {
+				return nil, &Error{Field: fmt.Sprintf("vias[%d]", j), Msg: fmt.Sprintf("no node named %q", name)}
+			}
+			if n.Kind != topo.Middlebox {
+				return nil, &Error{Field: fmt.Sprintf("vias[%d]", j), Msg: fmt.Sprintf("via %q is not a middlebox", name)}
+			}
+			vias[j] = n.ID
+		}
+		return inv.Traversal{Dst: dst.ID, SrcPrefix: p, SrcAddr: srcAddr, Vias: vias, Label: w.Label}, nil
 	}
+	return nil, &Error{Field: "type", Msg: fmt.Sprintf("unknown invariant type %q", w.Type)}
 }

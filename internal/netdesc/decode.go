@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"github.com/netverify/vmn/internal/pkt"
+	"github.com/netverify/vmn/internal/topo"
 )
 
 // Load reads and decodes the description at path. Errors are *Error
@@ -79,10 +80,6 @@ var (
 		"firewall": true, "cache": true, "nat": true, "idps": true, "scrubber": true,
 		"loadbalancer": true, "appfirewall": true, "passthrough": true, "wanopt": true,
 		"mdl": true,
-	}
-	invTypes = map[string]bool{
-		"simple_isolation": true, "flow_isolation": true, "data_isolation": true,
-		"reachability": true, "traversal": true,
 	}
 )
 
@@ -229,46 +226,20 @@ func (d *Desc) Validate(file string) error {
 		}
 	}
 
-	// Invariants mirror the vmnd wire shapes.
+	// Invariants resolve exactly as the wire and the journal resolve
+	// them; of a node, the resolver reads only whether it is a middlebox.
+	node := func(name string) (topo.Node, bool) {
+		i, ok := names[name]
+		if ok && d.Nodes[i].Kind == "middlebox" {
+			return topo.Node{Kind: topo.Middlebox}, true
+		}
+		return topo.Node{}, ok
+	}
 	for i := range d.Invariants {
-		iv := &d.Invariants[i]
-		f := fmt.Sprintf("invariants[%d]", i)
-		if !invTypes[iv.Type] {
-			return errf(file, f+".type", "unknown invariant type %q", iv.Type)
-		}
-		if _, ok := names[iv.Dst]; !ok {
-			return errf(file, f+".dst", "unknown node %q", iv.Dst)
-		}
-		switch iv.Type {
-		case "simple_isolation", "flow_isolation", "reachability":
-			if _, err := pkt.ParseAddr(iv.SrcAddr); err != nil {
-				return errf(file, f+".src_addr", "%v", err)
-			}
-		case "data_isolation":
-			if _, err := pkt.ParseAddr(iv.Origin); err != nil {
-				return errf(file, f+".origin", "%v", err)
-			}
-		case "traversal":
-			if _, err := ParsePrefix(iv.SrcPrefix); err != nil {
-				return errf(file, f+".src_prefix", "%v", err)
-			}
-			if iv.SrcAddr != "" {
-				if _, err := pkt.ParseAddr(iv.SrcAddr); err != nil {
-					return errf(file, f+".src_addr", "%v", err)
-				}
-			}
-			if len(iv.Vias) == 0 {
-				return errf(file, f+".vias", "traversal needs at least one via")
-			}
-			for j, via := range iv.Vias {
-				vi, ok := names[via]
-				if !ok {
-					return errf(file, fmt.Sprintf("%s.vias[%d]", f, j), "unknown node %q", via)
-				}
-				if d.Nodes[vi].Kind != "middlebox" {
-					return errf(file, fmt.Sprintf("%s.vias[%d]", f, j), "via %q is not a middlebox", via)
-				}
-			}
+		if _, err := ResolveInvariant(&d.Invariants[i], node); err != nil {
+			e := err.(*Error)
+			e.File, e.Field = file, fmt.Sprintf("invariants[%d].%s", i, e.Field)
+			return e
 		}
 	}
 	return nil
@@ -446,9 +417,11 @@ func ParsePrefix(s string) (pkt.Prefix, error) {
 }
 
 // FormatPrefix renders a prefix in the canonical on-disk form ParsePrefix
-// accepts: "*" for match-all, a bare address for /32, CIDR otherwise.
+// accepts: "*" for the zero prefix, a bare address for /32, CIDR
+// otherwise. ParsePrefix(FormatPrefix(p)) == p for every prefix
+// ParsePrefix returns, including a /0 with a nonzero address.
 func FormatPrefix(p pkt.Prefix) string {
-	if p.Len <= 0 {
+	if p == (pkt.Prefix{}) {
 		return "*"
 	}
 	if p.Len >= 32 {

@@ -46,7 +46,7 @@ func FromNetwork(name string, net *core.Network, invs []inv.Invariant) (*Desc, e
 			if !ok {
 				return nil, fmt.Errorf("netdesc: middlebox %q has no model instance", n.Name)
 			}
-			box, err := exportBox(n.Name, model, net.Registry)
+			box, err := ExportBox(n.Name, model, net.Registry)
 			if err != nil {
 				return nil, err
 			}
@@ -86,7 +86,7 @@ func FromNetwork(name string, net *core.Network, invs []inv.Invariant) (*Desc, e
 	}
 
 	for _, iv := range invs {
-		w, err := exportInvariant(iv, t)
+		w, err := ExportInvariant(iv, t)
 		if err != nil {
 			return nil, err
 		}
@@ -103,7 +103,9 @@ func exportACL(acl []mbox.ACLEntry) []ACLRule {
 	return out
 }
 
-func exportBox(name string, model mbox.Model, reg *pkt.Registry) (*Box, error) {
+// ExportBox renders a native model as its Box configuration, the inverse
+// of BuildBox. MDL-interpreted and custom models are not exportable.
+func ExportBox(name string, model mbox.Model, reg *pkt.Registry) (*Box, error) {
 	switch m := model.(type) {
 	case *mbox.LearningFirewall:
 		return &Box{Type: "firewall", ACL: exportACL(m.ACL), DefaultAllow: m.DefaultAllow}, nil
@@ -147,7 +149,9 @@ func exportBox(name string, model mbox.Model, reg *pkt.Registry) (*Box, error) {
 	}
 }
 
-func exportInvariant(iv inv.Invariant, t *topo.Topology) (Invariant, error) {
+// ExportInvariant renders a built-in invariant in its schema form, the
+// inverse of ResolveInvariant. Custom invariant types are not exportable.
+func ExportInvariant(iv inv.Invariant, t *topo.Topology) (Invariant, error) {
 	switch i := iv.(type) {
 	case inv.SimpleIsolation:
 		return Invariant{Type: "simple_isolation", Dst: t.Node(i.Dst).Name,

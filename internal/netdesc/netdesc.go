@@ -128,8 +128,9 @@ type Rule struct {
 	Priority int    `json:"priority"`
 }
 
-// Invariant mirrors the vmnd wire invariant: type plus name/address
-// slots.
+// Invariant is the one serialized form of an invariant: description
+// files, the vmnd wire, the session journal and its snapshots all carry
+// it, and ResolveInvariant is its only decoder.
 type Invariant struct {
 	Type      string   `json:"type"` // simple_isolation | flow_isolation | data_isolation | reachability | traversal
 	Dst       string   `json:"dst"`
@@ -142,13 +143,18 @@ type Invariant struct {
 
 // Error is a structured description error: the file it came from, the
 // 1-based line for syntax-level failures (0 when not applicable), and a
-// field path for semantic ones (e.g. "nodes[3].addr").
+// field path for semantic ones (e.g. "nodes[3].addr"). Err is the
+// address or prefix parse error behind Msg, when there is one.
 type Error struct {
 	File  string
 	Line  int
 	Field string
 	Msg   string
+	Err   error
 }
+
+// Unwrap returns the parse error behind e, if any.
+func (e *Error) Unwrap() error { return e.Err }
 
 // Error renders "file:line: field: msg" with empty parts elided.
 func (e *Error) Error() string {

@@ -2,6 +2,7 @@ package netdesc
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -188,6 +189,28 @@ func TestDecodeErrors(t *testing.T) {
 				t.Errorf("syntax error lost its line number: %v", de)
 			}
 		})
+	}
+}
+
+// TestPrefixRoundTrip pins the lossless prefix codec: every prefix
+// ParsePrefix accepts survives FormatPrefix → ParsePrefix unchanged,
+// including a /0 with a nonzero address, which must not collapse to "*".
+func TestPrefixRoundTrip(t *testing.T) {
+	inputs := []string{"", "*", "10.0.0.1", "255.255.255.255"}
+	for _, a := range []string{"0.0.0.0", "10.0.0.1", "10.1.0.0", "255.255.255.255"} {
+		for n := 0; n <= 32; n++ {
+			inputs = append(inputs, fmt.Sprintf("%s/%d", a, n))
+		}
+	}
+	for _, in := range inputs {
+		p, err := ParsePrefix(in)
+		if err != nil {
+			t.Fatalf("ParsePrefix(%q): %v", in, err)
+		}
+		out := FormatPrefix(p)
+		if back, err := ParsePrefix(out); err != nil || back != p {
+			t.Fatalf("%q parsed to %v, formatted as %q, reparsed to %v (%v)", in, p, out, back, err)
+		}
 	}
 }
 
