@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench-smoke fuzz-smoke vmnd-smoke vmnd-restart-smoke examples-validate topo-smoke vmndbench-smoke bench-json bench-multicore bench-snapshot
+.PHONY: ci fmt vet build test race loc bench-smoke fuzz-smoke vmnd-smoke vmnd-restart-smoke examples-validate topo-smoke vmndbench-smoke bench-json bench-multicore bench-snapshot
 
 ci: fmt vet build race fuzz-smoke vmnd-smoke vmnd-restart-smoke examples-validate topo-smoke bench-smoke vmndbench-smoke
 
@@ -29,6 +29,13 @@ race:
 	$(GO) run -race ./cmd/vmnd -network datacenter -groups 3 -fault-injection \
 		-http 127.0.0.1:0 -slow-solve 1ns \
 		< cmd/vmnd/testdata/crash_corpus.ndjson > /dev/null
+
+# The Go line counts the ROADMAP tracks: non-test and total, without the
+# separate vmndbench module and the benchmark's build directory.
+GO_SOURCES = find . \( -path ./vmndbench -o -path ./.bench_build \) -prune -o -name '*.go'
+loc:
+	@echo "non-test Go lines: $$($(GO_SOURCES) ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "total Go lines:    $$($(GO_SOURCES) -print | xargs cat | wc -l)"
 
 # One iteration of every Fig2 benchmark (SAT and explicit engines): a fast
 # sanity check that the measured paths still run.

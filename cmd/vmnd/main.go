@@ -422,7 +422,7 @@ func handle(sess *incr.Session, net *core.Network, hooks serveHooks, line []byte
 					ack.Unsatisfied++
 				}
 			}
-			totals := incr.EncodeTotals(sess.TotalStats())
+			totals := sess.TotalStats()
 			ack.Totals = &totals
 			return ack
 		case "rollback":
@@ -499,22 +499,15 @@ func handle(sess *incr.Session, net *core.Network, hooks serveHooks, line []byte
 // work, and (when observability is on) a flat metrics-registry snapshot.
 func statsResponse(sess *incr.Session, id string) incr.WireStats {
 	classes, sharedChecks, encTranslated := sess.CanonStats()
-	ss := sess.SolverStats()
 	w := incr.WireStats{
 		Op:                 "stats",
 		Id:                 id,
 		Seq:                sess.LastApply().Seq,
-		Totals:             incr.EncodeTotals(sess.TotalStats()),
+		Totals:             sess.TotalStats(),
 		CanonClasses:       classes,
 		CanonSharedChecks:  sharedChecks,
 		CanonEncTranslated: encTranslated,
-		Solver: incr.WireSolverStats{
-			Decisions:    ss.Decisions,
-			Propagations: ss.Propagations,
-			Conflicts:    ss.Conflicts,
-			Restarts:     ss.Restarts,
-			Learnt:       ss.Learnt,
-		},
+		Solver:             sess.SolverStats(),
 	}
 	if o := sess.Observability(); o != nil {
 		w.Metrics = o.Metrics.Snapshot()

@@ -292,6 +292,69 @@ func TestGoldenObservability(t *testing.T) {
 	}
 }
 
+// TestStatsMetricsMatchTotals drives the transactional and batch ops
+// over the wire and requires the stats reply to agree with itself: each
+// lifetime vmn_incr_*_total metric equals its "totals" key (a rejected
+// propose's shadow and repair runs count in neither), and the two gauges
+// equal the last result line's groups and invariants.
+func TestStatsMetricsMatchTotals(t *testing.T) {
+	out := exchangeOpts(t, []string{
+		`{"op":"propose","id":"r1","changes":[` +
+			`{"op":"fw_del","node":"fw1","src":"10.0.0.0/24","dst":"10.1.0.0/24"},` +
+			`{"op":"node_down","node":"h2-0"}]}`,
+		`{"op":"rollback","id":"r2"}`,
+		`{"op":"node_down","node":"fw2"}`,
+		`{"op":"apply_batch","id":"b1","changes":[` +
+			`{"op":"relabel","node":"h0-0","class":"x"},` +
+			`{"op":"relabel","node":"h0-0","class":""}]}`,
+		`{"op":"propose","id":"p1","changes":[{"op":"node_down","node":"h2-0"}]}`,
+		`{"op":"commit","id":"p2"}`,
+		`{"op":"stats","id":"s1"}`,
+	}, incr.Options{Workers: 1, Obs: obs.New(0)}, false)
+	lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
+	var propose incr.WireProposeResult
+	if err := json.Unmarshal(lines[1], &propose); err != nil {
+		t.Fatal(err)
+	}
+	if propose.Decision != "reject" || len(propose.Repairs) == 0 {
+		t.Fatalf("first propose must be rejected with a repair: %s", lines[1])
+	}
+	var last incr.WireResult
+	if err := json.Unmarshal(lines[4], &last); err != nil {
+		t.Fatal(err)
+	}
+	var stats struct {
+		Totals  map[string]float64 `json:"totals"`
+		Metrics map[string]float64 `json:"metrics"`
+	}
+	if err := json.Unmarshal(lines[len(lines)-1], &stats); err != nil {
+		t.Fatal(err)
+	}
+	for metric, key := range map[string]string{
+		"applies": "applies", "changes": "changes", "solves": "solves",
+		"cache_hits": "cache_hits", "canon_hits": "canon_hits",
+		"canon_shared": "canon_shared", "refined_clean": "refined_clean",
+		"budget_exceeded": "budget_exceeded", "dirty_groups": "dirty_groups",
+		"batches": "batches", "batch_enqueued": "enqueued", "batch_coalesced": "coalesced",
+	} {
+		name := "vmn_incr_" + metric + "_total"
+		got, ok := stats.Metrics[name]
+		if !ok {
+			t.Fatalf("stats reply lacks metric %s", name)
+		}
+		if got != stats.Totals[key] { // omitted zero keys read as 0
+			t.Errorf("%s = %v, totals.%s = %v", name, got, key, stats.Totals[key])
+		}
+	}
+	if stats.Totals["applies"] != 4 {
+		t.Errorf("want 4 committed applies (initial, apply, batch, commit), totals %v", stats.Totals)
+	}
+	if g, i := stats.Metrics["vmn_incr_groups"], stats.Metrics["vmn_incr_invariants"]; int(g) != last.Groups || int(i) != last.Invariants {
+		t.Errorf("gauges groups=%v invariants=%v, last result groups=%d invariants=%d",
+			g, i, last.Groups, last.Invariants)
+	}
+}
+
 // exchangePersist is exchange with a persistent session over dir; the
 // session shuts down cleanly (final snapshot) after the input drains.
 func exchangePersist(t *testing.T, lines []string, dir string) []byte {

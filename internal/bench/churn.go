@@ -161,13 +161,8 @@ func churnStep(sess *incr.Session, opts core.Options, changes []incr.Change, inc
 			panic(err)
 		}
 	})
-	st := sess.LastApply()
 	inc.Samples = append(inc.Samples, incDur)
-	inc.Invariants = st.Invariants
-	inc.Dirtied += st.DirtyInvariants
-	inc.RefinedClean += st.RefinedClean
-	inc.CacheHits += st.CacheHits
-	inc.Solves += st.CacheMisses
+	accountApply(inc, sess.LastApply())
 
 	if full == nil {
 		return

@@ -124,7 +124,7 @@ func streamDrive(sess *incr.Session, changes []incr.Change, pipelined, noCoalesc
 				}
 			})
 			row.Samples = append(row.Samples, d)
-			streamAccount(row, sess.LastApply())
+			accountApply(row, sess.LastApply())
 		}
 		return len(changes), time.Since(start), len(changes)
 	}
@@ -146,7 +146,7 @@ func streamDrive(sess *incr.Session, changes []incr.Change, pipelined, noCoalesc
 			for i := 0; i < width; i++ {
 				row.Samples = append(row.Samples, per)
 			}
-			streamAccount(row, r.Stats)
+			accountApply(row, r.Stats)
 		}
 		done <- n
 	}()
@@ -159,7 +159,9 @@ func streamDrive(sess *incr.Session, changes []incr.Change, pipelined, noCoalesc
 	return len(changes), time.Since(start), applies
 }
 
-func streamAccount(row *Row, st incr.ApplyStats) {
+// accountApply adds one apply's dirty and cache counts to an incremental
+// row.
+func accountApply(row *Row, st incr.ApplyStats) {
 	row.Invariants = st.Invariants
 	row.Dirtied += st.DirtyInvariants
 	row.RefinedClean += st.RefinedClean

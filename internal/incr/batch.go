@@ -159,6 +159,7 @@ func (s *Session) ApplyBatch(changes []Change) ([]core.Report, error) {
 func (s *Session) ApplyBatchID(id string, changes []Change) (_ []core.Report, duplicate bool, _ error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	defer s.publish()
 	if s.pending != nil {
 		return nil, false, ErrProposePending
 	}
@@ -168,22 +169,10 @@ func (s *Session) ApplyBatchID(id string, changes []Change) (_ []core.Report, du
 		}
 	}
 	s.armDeadline()
-	co, dropped := Coalesce(changes)
-	reports, err := s.applyLocked(co)
+	reports, co, err := s.applyLocked(changes, true)
 	if err != nil {
 		return nil, false, err
 	}
 	s.persistApply(id, co)
-	s.last.Enqueued = len(changes)
-	s.last.Coalesced = dropped
-	s.totals.Batches++
-	s.totals.Enqueued += len(changes)
-	s.totals.Coalesced += dropped
-	if m := s.metrics; m != nil {
-		m.batches.Inc()
-		m.enqueued.Add(int64(len(changes)))
-		m.coalesced.Add(int64(dropped))
-		m.batchSize.Observe(float64(len(changes)))
-	}
 	return reports, false, nil
 }

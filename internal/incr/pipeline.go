@@ -38,7 +38,8 @@ type PipelineOptions struct {
 }
 
 // PipelineResult is one Apply's outcome. First and Last are the 1-based
-// submission indexes of the changes this apply absorbed.
+// submission indexes of the changes this apply absorbed. Stats is zero
+// when Err is set.
 type PipelineResult struct {
 	First, Last int
 	Reports     []core.Report
@@ -121,18 +122,22 @@ func (p *Pipeline) worker() {
 		if p.opts.NoCoalesce {
 			for i, ch := range batch {
 				reports, err := p.s.Apply([]Change{ch})
-				p.out <- PipelineResult{
-					First: seq + i + 1, Last: seq + i + 1,
-					Reports: reports, Stats: p.s.LastApply(), Err: err,
-				}
+				p.out <- p.result(seq+i+1, seq+i+1, reports, err)
 			}
 		} else {
 			reports, err := p.s.ApplyBatch(batch)
-			p.out <- PipelineResult{
-				First: seq + 1, Last: seq + len(batch),
-				Reports: reports, Stats: p.s.LastApply(), Err: err,
-			}
+			p.out <- p.result(seq+1, seq+len(batch), reports, err)
 		}
 		seq += len(batch)
 	}
+}
+
+// result builds one outcome. A failed apply leaves Stats zero: LastApply
+// still describes the apply before it.
+func (p *Pipeline) result(first, last int, reports []core.Report, err error) PipelineResult {
+	r := PipelineResult{First: first, Last: last, Reports: reports, Err: err}
+	if err == nil {
+		r.Stats = p.s.LastApply()
+	}
+	return r
 }

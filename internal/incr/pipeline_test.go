@@ -91,3 +91,28 @@ func TestPipelineNoCoalesce(t *testing.T) {
 	compareReports(t, "no-coalesce final", results[len(results)-1].Reports,
 		baseline(t, sess, core.Options{Engine: core.EngineSAT}, true))
 }
+
+// TestPipelineErrorCarriesNoStats: a failed apply's result must not
+// carry the previous apply's stats.
+func TestPipelineErrorCarriesNoStats(t *testing.T) {
+	d := bench.NewDatacenter(bench.DCConfig{Groups: 2, HostsPerGroup: 1})
+	sess, _, err := incr.NewSession(d.Net, core.Options{Engine: core.EngineSAT},
+		d.AllIsolationInvariants(), incr.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := incr.NewPipeline(sess, incr.PipelineOptions{Queue: 4, NoCoalesce: true})
+	pl.Submit(incr.NodeDown(d.FW2))
+	pl.Submit(incr.NodeDown(topo.NodeID(d.Net.Topo.NumNodes())))
+	pl.Close()
+	var results []incr.PipelineResult
+	for r := range pl.Results() {
+		results = append(results, r)
+	}
+	if len(results) != 2 || results[0].Err != nil || results[1].Err == nil {
+		t.Fatalf("want one good and one failed result, got %+v", results)
+	}
+	if results[1].Stats != (incr.ApplyStats{}) {
+		t.Fatalf("failed result carries stats %+v", results[1].Stats)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/netverify/vmn/internal/core"
@@ -76,58 +77,97 @@ type Options struct {
 	Persist *PersistOptions
 }
 
-// ApplyStats describes one Apply call.
+// ApplyStats describes one Apply call. It is also the counter block of
+// every wire result line (WireResult embeds it), so the field order is
+// the wire order.
 type ApplyStats struct {
-	Seq             int
-	Changes         int
-	Groups          int
-	Invariants      int
-	DirtyGroups     int
-	DirtyInvariants int
+	Seq             int `json:"seq"`
+	Changes         int `json:"changes"`
+	Invariants      int `json:"invariants"`
+	Groups          int `json:"groups"`
+	DirtyGroups     int `json:"dirty_groups"`
+	DirtyInvariants int `json:"dirty_invariants"`
 	// DirtyClasses counts the canonical equivalence classes among the
 	// dirty groups: only one representative per class is re-verified, the
 	// rest inherit translated verdicts (CanonShared counts those
 	// inherited (invariant, scenario) reports).
-	DirtyClasses int
-	CanonShared  int
+	DirtyClasses int `json:"dirty_classes,omitempty"`
+	CanonShared  int `json:"canon_shared,omitempty"`
 	// RefinedClean counts groups the node-granularity index would have
 	// dirtied (their footprint contains a changed element) but whose
 	// prefix/rule-level read-set proved untouched — the work the refined
 	// dependency index saves on this Apply. Always 0 with NodeGranularity.
-	RefinedClean int
-	CacheHits    int
-	CacheMisses  int
+	RefinedClean int `json:"refined_clean,omitempty"`
+	CacheHits    int `json:"cache_hits"`
 	// CanonHits is the subset of CacheHits answered through canonical
 	// class keys — including hits where the cached verdict came from a
 	// differently named but isomorphic slice and the witness was
 	// translated.
-	CanonHits int
-	// BudgetExceeded counts reports that hit a budget (request deadline,
-	// solver conflict cap) instead of reaching a verdict.
-	BudgetExceeded int
+	CanonHits   int `json:"canon_hits,omitempty"`
+	CacheMisses int `json:"cache_misses"`
 	// Enqueued is the raw change count an ApplyBatch was handed before
 	// coalescing (0 for a plain Apply); Coalesced counts the changes
 	// coalescing eliminated — Changes is what remained and was applied.
-	Enqueued  int
-	Coalesced int
-	Duration  time.Duration
+	Enqueued  int           `json:"enqueued,omitempty"`
+	Coalesced int           `json:"coalesced,omitempty"`
+	Duration  time.Duration `json:"duration_ns"`
+	// BudgetExceeded counts reports that hit a budget (request deadline,
+	// solver conflict cap) instead of reaching a verdict.
+	BudgetExceeded int `json:"budget_exceeded,omitempty"`
 }
 
-// Totals accumulates session-lifetime counters.
+// Totals accumulates session-lifetime counters: the fold (add) of every
+// committed apply's ApplyStats. It is the one record of these counts —
+// the wire's "totals" object and the source of the vmn_incr_*_total
+// metrics. A Propose counts only once committed; a Rollback leaves the
+// totals as they were.
 type Totals struct {
-	Applies      int
-	Solves       int // (invariant, scenario) checks actually run
-	CacheHits    int // checks answered from the verdict cache
-	CanonHits    int // cache hits served through canonical class keys
-	CanonShared  int // reports inherited from a dirty-class representative
-	Classes      int // canonical classes formed among dirty groups
-	RefinedClean int // groups kept clean by prefix/rule-level refinement
-	DirtyInvs    int // invariants dirtied across all applies
-	TotalInvs    int // invariant count summed across all applies
-	ReusedInvs   int // invariant reports inherited via symmetry
-	Batches      int // ApplyBatch calls
-	Enqueued     int // raw changes handed to ApplyBatch before coalescing
-	Coalesced    int // changes eliminated by batch coalescing
+	Applies        int `json:"applies"`
+	Changes        int `json:"changes,omitempty"`         // changes applied, after coalescing
+	Solves         int `json:"solves"`                    // (invariant, scenario) checks actually run
+	CacheHits      int `json:"cache_hits"`                // checks answered from the verdict cache
+	CanonHits      int `json:"canon_hits"`                // cache hits served through canonical class keys
+	CanonShared    int `json:"canon_shared"`              // reports inherited from a dirty-class representative
+	Classes        int `json:"classes"`                   // canonical classes formed among dirty groups
+	RefinedClean   int `json:"refined_clean"`             // groups kept clean by prefix/rule-level refinement
+	DirtyGroups    int `json:"dirty_groups,omitempty"`    // groups dirtied across all applies
+	DirtyInvs      int `json:"dirty_invariants"`          // invariants dirtied across all applies
+	TotalInvs      int `json:"total_invariants"`          // invariant count summed across all applies
+	ReusedInvs     int `json:"reused_invariants"`         // invariant reports inherited via symmetry
+	BudgetExceeded int `json:"budget_exceeded,omitempty"` // reports that hit a budget instead of a verdict
+	Batches        int `json:"batches,omitempty"`         // ApplyBatch calls
+	Enqueued       int `json:"enqueued,omitempty"`        // raw changes handed to ApplyBatch before coalescing
+	Coalesced      int `json:"coalesced,omitempty"`       // changes eliminated by batch coalescing
+}
+
+// add folds one apply into the totals: reused is the number of reports
+// it inherited through symmetry, batch marks an ApplyBatch.
+func (t *Totals) add(st ApplyStats, reused int, batch bool) {
+	t.Applies++
+	t.Changes += st.Changes
+	t.Solves += st.CacheMisses
+	t.CacheHits += st.CacheHits
+	t.CanonHits += st.CanonHits
+	t.CanonShared += st.CanonShared
+	t.Classes += st.DirtyClasses
+	t.RefinedClean += st.RefinedClean
+	t.DirtyGroups += st.DirtyGroups
+	t.DirtyInvs += st.DirtyInvariants
+	t.TotalInvs += st.Invariants
+	t.ReusedInvs += reused
+	t.BudgetExceeded += st.BudgetExceeded
+	if batch {
+		t.Batches++
+	}
+	t.Enqueued += st.Enqueued
+	t.Coalesced += st.Coalesced
+}
+
+// counterCopy is an immutable copy of the session's counters, replaced
+// (never mutated) after every call that changes live state.
+type counterCopy struct {
+	totals Totals
+	last   ApplyStats
 }
 
 // groupEntry is the session's memory of one symmetry group: the
@@ -216,6 +256,10 @@ type Session struct {
 	seq    int
 	last   ApplyStats
 	totals Totals
+	// counters is the published copy of (totals, last): TotalStats,
+	// LastApply and the metric collectors read it without taking mu, so
+	// a scrape never waits on an apply in flight.
+	counters atomic.Pointer[counterCopy]
 
 	// store is the durability layer (nil when Options.Persist is nil):
 	// every acked apply journals through it and snapshots compact the
@@ -237,44 +281,62 @@ type Session struct {
 	slowMu sync.Mutex
 }
 
-// sessMetrics holds the session's pre-registered metric handles so the
-// apply hot path never takes the registry lock.
+// sessMetrics holds the session's work-time instruments: they measure
+// work done, Propose shadows and repair candidates included. The
+// committed-history counters and gauges are collectors over the
+// published Totals and ApplyStats instead (registerCounters).
 type sessMetrics struct {
-	applies, solves, cacheHits, canonHits, canonShared *obs.Counter
-	refinedClean, budgetExceeded, dirtyGroups          *obs.Counter
-	workerBusyNs                                       *obs.Counter
-	changes, batches, enqueued, coalesced              *obs.Counter
-	groups, invariants                                 *obs.Gauge
-	applySeconds, solveSeconds                         *obs.Histogram
-	dirtyFraction, classSize, batchSize                *obs.Histogram
+	workerBusyNs                        *obs.Counter
+	applySeconds, solveSeconds          *obs.Histogram
+	dirtyFraction, classSize, batchSize *obs.Histogram
 }
 
 func newSessMetrics(r *obs.Registry) *sessMetrics {
 	return &sessMetrics{
-		applies:        r.Counter("vmn_incr_applies_total"),
-		solves:         r.Counter("vmn_incr_solves_total"),
-		cacheHits:      r.Counter("vmn_incr_cache_hits_total"),
-		canonHits:      r.Counter("vmn_incr_canon_hits_total"),
-		canonShared:    r.Counter("vmn_incr_canon_shared_total"),
-		refinedClean:   r.Counter("vmn_incr_refined_clean_total"),
-		budgetExceeded: r.Counter("vmn_incr_budget_exceeded_total"),
-		dirtyGroups:    r.Counter("vmn_incr_dirty_groups_total"),
-		workerBusyNs:   r.Counter("vmn_incr_worker_busy_ns_total"),
-		// Streaming-pipeline accounting: changes counts every change the
-		// session absorbed (rate() over it is sustained updates/sec);
-		// enqueued/coalesced expose the batch coalescing ratio.
-		changes:       r.Counter("vmn_incr_changes_total"),
-		batches:       r.Counter("vmn_incr_batches_total"),
-		enqueued:      r.Counter("vmn_incr_batch_enqueued_total"),
-		coalesced:     r.Counter("vmn_incr_batch_coalesced_total"),
-		groups:        r.Gauge("vmn_incr_groups"),
-		invariants:    r.Gauge("vmn_incr_invariants"),
+		workerBusyNs:  r.Counter("vmn_incr_worker_busy_ns_total"),
 		applySeconds:  r.Histogram("vmn_incr_apply_seconds", obs.LatencyBuckets),
 		solveSeconds:  r.Histogram("vmn_incr_solve_seconds", obs.LatencyBuckets),
 		dirtyFraction: r.Histogram("vmn_incr_dirty_fraction", obs.FractionBuckets),
 		classSize:     r.Histogram("vmn_incr_class_size", obs.SizeBuckets),
 		batchSize:     r.Histogram("vmn_incr_batch_size", obs.SizeBuckets),
 	}
+}
+
+// registerCounters exports the committed history: every lifetime counter
+// and the group/invariant gauges are read from the published copy at
+// scrape time, so they equal TotalStats and LastApply by construction.
+// vmn_incr_changes_total is sustained updates/sec under rate(); the
+// batch counters expose the coalescing ratio.
+func (s *Session) registerCounters(r *obs.Registry) {
+	total := func(name string, get func(Totals) int) {
+		r.RegisterCounterFunc("vmn_incr_"+name+"_total", func() int64 { return int64(get(s.TotalStats())) })
+	}
+	total("applies", func(t Totals) int { return t.Applies })
+	total("changes", func(t Totals) int { return t.Changes })
+	total("solves", func(t Totals) int { return t.Solves })
+	total("cache_hits", func(t Totals) int { return t.CacheHits })
+	total("canon_hits", func(t Totals) int { return t.CanonHits })
+	total("canon_shared", func(t Totals) int { return t.CanonShared })
+	total("refined_clean", func(t Totals) int { return t.RefinedClean })
+	total("budget_exceeded", func(t Totals) int { return t.BudgetExceeded })
+	total("dirty_groups", func(t Totals) int { return t.DirtyGroups })
+	total("batches", func(t Totals) int { return t.Batches })
+	total("batch_enqueued", func(t Totals) int { return t.Enqueued })
+	total("batch_coalesced", func(t Totals) int { return t.Coalesced })
+	r.RegisterFunc("vmn_incr_groups", func() float64 { return float64(s.LastApply().Groups) })
+	r.RegisterFunc("vmn_incr_invariants", func() float64 { return float64(s.LastApply().Invariants) })
+	r.RegisterFunc("vmn_incr_coalesce_ratio", func() float64 {
+		t := s.TotalStats()
+		if t.Enqueued == 0 {
+			return 0
+		}
+		return float64(t.Coalesced) / float64(t.Enqueued)
+	})
+}
+
+// publish replaces the published counter copy with the current state.
+func (s *Session) publish() {
+	s.counters.Store(&counterCopy{totals: s.totals, last: s.last})
 }
 
 // NewSession builds a session and runs the initial full verification,
@@ -303,6 +365,7 @@ func NewSession(net *core.Network, opts core.Options, invs []inv.Invariant, sopt
 		cache:    newVerdictCache(sopts.CacheCap),
 	}
 	s.cview = liveCacheView{s}
+	s.publish()
 	if sopts.Persist != nil {
 		// Open the store and restore any previous session's state
 		// BEFORE the initial verification: the Apply below then plans
@@ -316,14 +379,7 @@ func NewSession(net *core.Network, opts core.Options, invs []inv.Invariant, sopt
 	}
 	if sopts.Obs != nil && sopts.Obs.Metrics != nil {
 		s.metrics = newSessMetrics(sopts.Obs.Metrics)
-		// Derived, zero-hot-path: computed from the totals at scrape time.
-		sopts.Obs.Metrics.RegisterFunc("vmn_incr_coalesce_ratio", func() float64 {
-			t := s.TotalStats()
-			if t.Enqueued == 0 {
-				return 0
-			}
-			return float64(t.Coalesced) / float64(t.Enqueued)
-		})
+		s.registerCounters(sopts.Obs.Metrics)
 	}
 	reports, err := s.Apply(nil)
 	if err != nil {
@@ -390,18 +446,17 @@ func (s *Session) effectiveScenarios() []topo.FailureScenario {
 	return out
 }
 
-// LastApply returns statistics for the most recent Apply.
+// LastApply returns statistics for the most recent Apply (a pending
+// Propose's shadow run is not one). It never waits on an apply in
+// flight (it reads the published copy).
 func (s *Session) LastApply() ApplyStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.last
+	return s.counters.Load().last
 }
 
-// TotalStats returns session-lifetime counters.
+// TotalStats returns session-lifetime counters. It never waits on an
+// apply in flight (it reads the published copy).
 func (s *Session) TotalStats() Totals {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.totals
+	return s.counters.Load().totals
 }
 
 // grouping partitions the current invariant set. With symmetry, groups
@@ -594,6 +649,7 @@ func (s *Session) Apply(changes []Change) ([]core.Report, error) {
 func (s *Session) ApplyID(id string, changes []Change) (_ []core.Report, duplicate bool, _ error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	defer s.publish()
 	if s.pending != nil {
 		return nil, false, ErrProposePending
 	}
@@ -603,7 +659,7 @@ func (s *Session) ApplyID(id string, changes []Change) (_ []core.Report, duplica
 		}
 	}
 	s.armDeadline()
-	reports, err := s.applyLocked(changes)
+	reports, _, err := s.applyLocked(changes, false)
 	if err != nil {
 		return nil, false, err
 	}
@@ -625,17 +681,25 @@ func (s *Session) expired() bool {
 	return !s.deadline.IsZero() && !time.Now().Before(s.deadline)
 }
 
-// applyLocked is Apply's body, shared with the shadow (Propose) path: it
-// runs against whatever state is currently installed in s, under s.mu. A
-// panic anywhere in the pipeline is contained here — converted to an
-// error after dropping the (possibly half-mutated) incremental state.
-func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
+// applyLocked is Apply's body, shared with ApplyBatch and the shadow
+// (Propose) path: it runs against whatever state is currently installed
+// in s, under s.mu, and folds its stats into s.last and s.totals. With
+// batch set the change list is coalesced first; applied is what was
+// applied. A panic anywhere in the pipeline is contained here —
+// converted to an error after dropping the (possibly half-mutated)
+// incremental state.
+func (s *Session) applyLocked(changes []Change, batch bool) (_ []core.Report, applied []Change, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.invalidate()
 			err = fmt.Errorf("incr: panic during apply: %v", r)
 		}
 	}()
+	enqueued, coalesced := 0, 0
+	if batch {
+		enqueued = len(changes)
+		changes, coalesced = Coalesce(changes)
+	}
 	start := time.Now()
 	s.seq++
 
@@ -672,7 +736,7 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 		case KindNodeDown:
 			if err := s.validNode(ch.Node); err != nil {
 				s.invalidate()
-				return nil, err
+				return nil, nil, err
 			}
 			if !s.down[ch.Node] {
 				s.down[ch.Node] = true
@@ -681,7 +745,7 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 		case KindNodeUp:
 			if err := s.validNode(ch.Node); err != nil {
 				s.invalidate()
-				return nil, err
+				return nil, nil, err
 			}
 			if s.down[ch.Node] {
 				delete(s.down, ch.Node)
@@ -695,15 +759,15 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 		case KindBoxAdd:
 			if err := s.validNode(ch.Node); err != nil {
 				s.invalidate()
-				return nil, err
+				return nil, nil, err
 			}
 			if ch.Model == nil {
 				s.invalidate()
-				return nil, fmt.Errorf("incr: box-add at %s needs a model", s.net.Topo.Node(ch.Node).Name)
+				return nil, nil, fmt.Errorf("incr: box-add at %s needs a model", s.net.Topo.Node(ch.Node).Name)
 			}
 			if s.findBox(ch.Node) >= 0 {
 				s.invalidate()
-				return nil, fmt.Errorf("incr: node %s already has a middlebox model", s.net.Topo.Node(ch.Node).Name)
+				return nil, nil, fmt.Errorf("incr: node %s already has a middlebox model", s.net.Topo.Node(ch.Node).Name)
 			}
 			s.net.Boxes = append(s.net.Boxes, mbox.Instance{Node: ch.Node, Model: ch.Model})
 			if ch.Model.Discipline() != mbox.FlowParallel {
@@ -718,7 +782,7 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 			bi := s.findBox(ch.Node)
 			if bi < 0 {
 				s.invalidate()
-				return nil, fmt.Errorf("incr: no middlebox model at node %d", ch.Node)
+				return nil, nil, fmt.Errorf("incr: no middlebox model at node %d", ch.Node)
 			}
 			if s.net.Boxes[bi].Model.Discipline() == mbox.OriginAgnostic {
 				// Losing the last origin-agnostic box shrinks every slice.
@@ -730,7 +794,7 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 			bi := s.findBox(ch.Node)
 			if bi < 0 {
 				s.invalidate()
-				return nil, fmt.Errorf("incr: no middlebox model at node %d", ch.Node)
+				return nil, nil, fmt.Errorf("incr: no middlebox model at node %d", ch.Node)
 			}
 			if ch.Model != nil {
 				oldD := s.net.Boxes[bi].Model.Discipline()
@@ -748,7 +812,7 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 		case KindRelabel:
 			if err := s.validNode(ch.Node); err != nil {
 				s.invalidate()
-				return nil, err
+				return nil, nil, err
 			}
 			if s.net.PolicyClass == nil {
 				s.net.PolicyClass = map[topo.NodeID]string{}
@@ -771,7 +835,7 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 		case KindInvAdd:
 			if ch.Invariant == nil {
 				s.invalidate()
-				return nil, fmt.Errorf("incr: inv-add needs an invariant")
+				return nil, nil, fmt.Errorf("incr: inv-add needs an invariant")
 			}
 			s.invs = append(s.invs, ch.Invariant)
 		case KindInvRemove:
@@ -784,7 +848,7 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 			s.invs = kept
 		default:
 			s.invalidate()
-			return nil, fmt.Errorf("incr: unknown change kind %d", ch.Kind)
+			return nil, nil, fmt.Errorf("incr: unknown change kind %d", ch.Kind)
 		}
 	}
 
@@ -929,6 +993,8 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 		Invariants:   len(s.invs),
 		DirtyGroups:  len(dirty),
 		RefinedClean: refinedClean,
+		Enqueued:     enqueued,
+		Coalesced:    coalesced,
 	}
 	for _, gi := range dirty {
 		stats.DirtyInvariants += len(groups[gi].Members)
@@ -963,7 +1029,7 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 		})
 		if err != nil {
 			s.invalidate()
-			return nil, err
+			return nil, nil, err
 		}
 
 		// Cluster by joined per-scenario canonical keys (first-seen order;
@@ -1020,7 +1086,7 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 		})
 		if err != nil {
 			s.invalidate()
-			return nil, err
+			return nil, nil, err
 		}
 		for di, gi := range dirty {
 			newEntries[keys[gi]] = results[di]
@@ -1071,34 +1137,17 @@ func (s *Session) applyLocked(changes []Change) (_ []core.Report, err error) {
 
 	stats.Duration = time.Since(start)
 	s.last = stats
-	s.totals.Applies++
-	s.totals.Solves += stats.CacheMisses
-	s.totals.CacheHits += stats.CacheHits
-	s.totals.CanonHits += stats.CanonHits
-	s.totals.CanonShared += stats.CanonShared
-	s.totals.Classes += stats.DirtyClasses
-	s.totals.RefinedClean += stats.RefinedClean
-	s.totals.DirtyInvs += stats.DirtyInvariants
-	s.totals.TotalInvs += stats.Invariants
-	s.totals.ReusedInvs += len(out) - len(s.groups)*len(scens)
+	s.totals.add(stats, len(out)-len(s.groups)*len(scens), batch)
 	if m := s.metrics; m != nil {
-		m.applies.Inc()
-		m.changes.Add(int64(stats.Changes))
-		m.solves.Add(int64(stats.CacheMisses))
-		m.cacheHits.Add(int64(stats.CacheHits))
-		m.canonHits.Add(int64(stats.CanonHits))
-		m.canonShared.Add(int64(stats.CanonShared))
-		m.refinedClean.Add(int64(stats.RefinedClean))
-		m.budgetExceeded.Add(int64(stats.BudgetExceeded))
-		m.dirtyGroups.Add(int64(stats.DirtyGroups))
-		m.groups.Set(int64(stats.Groups))
-		m.invariants.Set(int64(stats.Invariants))
 		m.applySeconds.Observe(stats.Duration.Seconds())
 		if stats.Groups > 0 {
 			m.dirtyFraction.Observe(float64(stats.DirtyGroups) / float64(stats.Groups))
 		}
+		if batch {
+			m.batchSize.Observe(float64(enqueued))
+		}
 	}
-	return out, nil
+	return out, changes, nil
 }
 
 // CanonStats exposes the underlying verifier's canonicalization counters

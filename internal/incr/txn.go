@@ -89,14 +89,6 @@ type ProposeResult struct {
 	// NewViolations counts checks unsatisfied under the shadow that were
 	// satisfied before the propose (pre-existing violations don't count).
 	NewViolations int
-	// BudgetExceeded counts shadow checks degraded by a budget.
-	BudgetExceeded int
-	// RefinedClean counts groups the prefix/rule-level dependency index
-	// kept clean on the shadow run — the refinement savings an Apply of
-	// this change-set would see (mirrors ApplyStats.RefinedClean, surfaced
-	// here so guardrail users see refinement effectiveness on rejected
-	// change-sets too).
-	RefinedClean int
 	// Repairs lists the smallest verified repair subsets found (all
 	// singletons that work, else all working pairs); empty when the
 	// decision is Accept, repair is disabled, or no small subset helps.
@@ -327,10 +319,8 @@ func (s *Session) Propose(changes []Change) (*ProposeResult, error) {
 	}
 
 	res := &ProposeResult{Reports: reports, Stats: post.last}
-	res.BudgetExceeded = post.last.BudgetExceeded
-	res.RefinedClean = post.last.RefinedClean
 	res.NewViolations = countNew(baseUnsat, unsatCounts(reports))
-	if res.NewViolations > 0 || res.BudgetExceeded > 0 {
+	if res.NewViolations > 0 || res.Stats.BudgetExceeded > 0 {
 		res.Decision = Reject
 	}
 	if res.NewViolations > 0 && !s.sopts.NoRepair {
@@ -358,6 +348,7 @@ func (s *Session) Commit() ([]core.Report, error) {
 func (s *Session) CommitID(id string) (_ []core.Report, duplicate bool, _ error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	defer s.publish()
 	if id != "" {
 		if _, ok := s.appliedIDs[id]; ok {
 			return s.assemble(s.effectiveScenarios()), true, nil
@@ -403,7 +394,7 @@ func (s *Session) runShadow(base sessState, view *overlayCacheView, changes []Ch
 	s.install(shadowOf(base))
 	prev := s.cview
 	s.cview = view
-	reports, err = s.applyLocked(changes)
+	reports, _, err = s.applyLocked(changes, false)
 	s.cview = prev
 	if err == nil {
 		post = s.capture()

@@ -252,7 +252,7 @@ func TestProposeBudgetExceeded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Propose failed: %v", err)
 	}
-	if pr.BudgetExceeded == 0 || pr.Stats.BudgetExceeded == 0 {
+	if pr.Stats.BudgetExceeded == 0 {
 		t.Fatalf("no budget-degraded checks under a 1ns deadline: %+v", pr.Stats)
 	}
 	if pr.Decision != incr.Reject {
@@ -271,8 +271,8 @@ func TestProposeBudgetExceeded(t *testing.T) {
 			}
 		}
 	}
-	if exceeded != pr.BudgetExceeded {
-		t.Fatalf("result counts %d budget-degraded reports, found %d", pr.BudgetExceeded, exceeded)
+	if exceeded != pr.Stats.BudgetExceeded {
+		t.Fatalf("result counts %d budget-degraded reports, found %d", pr.Stats.BudgetExceeded, exceeded)
 	}
 	if err := a.session().Rollback(); err != nil {
 		t.Fatalf("Rollback failed: %v", err)

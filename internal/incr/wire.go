@@ -48,6 +48,7 @@ import (
 	"github.com/netverify/vmn/internal/netdesc"
 	"github.com/netverify/vmn/internal/obs"
 	"github.com/netverify/vmn/internal/pkt"
+	"github.com/netverify/vmn/internal/sat"
 	"github.com/netverify/vmn/internal/topo"
 )
 
@@ -93,38 +94,12 @@ type WireReport struct {
 	DurationNs     int64 `json:"duration_ns"`
 }
 
-// WireResult is the JSON form of one Apply outcome.
+// WireResult is the JSON form of one Apply outcome: the apply's stats
+// (ApplyStats, promoted into the object) followed by the verdicts.
 type WireResult struct {
-	Seq             int `json:"seq"`
-	Changes         int `json:"changes"`
-	Invariants      int `json:"invariants"`
-	Groups          int `json:"groups"`
-	DirtyGroups     int `json:"dirty_groups"`
-	DirtyInvariants int `json:"dirty_invariants"`
-	// DirtyClasses counts canonical equivalence classes among the dirty
-	// groups (one solve per class); CanonShared the reports inherited from
-	// a class representative; CanonHits the verdict-cache hits served
-	// through canonical class keys. Hit-rate regressions in production
-	// show up here.
-	DirtyClasses int `json:"dirty_classes,omitempty"`
-	CanonShared  int `json:"canon_shared,omitempty"`
-	// RefinedClean counts groups kept clean by prefix/rule-level dirtying
-	// that node-granularity dirtying would have re-verified — the refined
-	// dependency index's savings, per Apply.
-	RefinedClean int `json:"refined_clean,omitempty"`
-	CacheHits    int `json:"cache_hits"`
-	CanonHits    int `json:"canon_hits,omitempty"`
-	CacheMisses  int `json:"cache_misses"`
-	// Enqueued is the raw change count handed to an apply_batch before
-	// coalescing; Coalesced how many of them coalescing eliminated
-	// (changes is what survived and was applied). Absent on plain applies.
-	Enqueued   int   `json:"enqueued,omitempty"`
-	Coalesced  int   `json:"coalesced,omitempty"`
-	DurationNs int64 `json:"duration_ns"`
-	// BudgetExceeded counts budget-degraded checks in this result.
-	BudgetExceeded int          `json:"budget_exceeded,omitempty"`
-	Unsatisfied    int          `json:"unsatisfied"`
-	Reports        []WireReport `json:"reports"`
+	ApplyStats
+	Unsatisfied int          `json:"unsatisfied"`
+	Reports     []WireReport `json:"reports"`
 	// Id echoes the request id, when one was given.
 	Id string `json:"id,omitempty"`
 	// Duplicate marks a replayed request id: the change-set was NOT
@@ -187,44 +162,7 @@ type WireTxAck struct {
 	// Totals snapshots the session-lifetime counters after a commit — the
 	// state the installed shadow run left them in (absent on rollback and
 	// inject_panic acks).
-	Totals *WireTotals `json:"totals,omitempty"`
-}
-
-// WireTotals is the JSON form of the session-lifetime Totals counters.
-type WireTotals struct {
-	Applies      int `json:"applies"`
-	Solves       int `json:"solves"`
-	CacheHits    int `json:"cache_hits"`
-	CanonHits    int `json:"canon_hits"`
-	CanonShared  int `json:"canon_shared"`
-	Classes      int `json:"classes"`
-	RefinedClean int `json:"refined_clean"`
-	DirtyInvs    int `json:"dirty_invariants"`
-	TotalInvs    int `json:"total_invariants"`
-	ReusedInvs   int `json:"reused_invariants"`
-	Batches      int `json:"batches,omitempty"`
-	Enqueued     int `json:"enqueued,omitempty"`
-	Coalesced    int `json:"coalesced,omitempty"`
-}
-
-// EncodeTotals renders session-lifetime counters on the wire.
-func EncodeTotals(t Totals) WireTotals {
-	return WireTotals{
-		Applies: t.Applies, Solves: t.Solves,
-		CacheHits: t.CacheHits, CanonHits: t.CanonHits, CanonShared: t.CanonShared,
-		Classes: t.Classes, RefinedClean: t.RefinedClean,
-		DirtyInvs: t.DirtyInvs, TotalInvs: t.TotalInvs, ReusedInvs: t.ReusedInvs,
-		Batches: t.Batches, Enqueued: t.Enqueued, Coalesced: t.Coalesced,
-	}
-}
-
-// WireSolverStats is the JSON form of aggregate SAT solver counters.
-type WireSolverStats struct {
-	Decisions    int64 `json:"decisions"`
-	Propagations int64 `json:"propagations"`
-	Conflicts    int64 `json:"conflicts"`
-	Restarts     int64 `json:"restarts"`
-	Learnt       int64 `json:"learnt"`
+	Totals *Totals `json:"totals,omitempty"`
 }
 
 // WireStats is the response to the "stats" introspection op: lifetime
@@ -232,15 +170,15 @@ type WireSolverStats struct {
 // snapshot of the metrics registry (absent when the daemon runs without
 // observability).
 type WireStats struct {
-	Op     string     `json:"op"` // always "stats"
-	Id     string     `json:"id,omitempty"`
-	Seq    int        `json:"seq"`
-	Totals WireTotals `json:"totals"`
+	Op     string `json:"op"` // always "stats"
+	Id     string `json:"id,omitempty"`
+	Seq    int    `json:"seq"`
+	Totals Totals `json:"totals"`
 	// Canonicalization counters (core.Verifier.CanonStats).
 	CanonClasses       int64              `json:"canon_classes"`
 	CanonSharedChecks  int64              `json:"canon_shared_checks"`
 	CanonEncTranslated int64              `json:"canon_enc_translated"`
-	Solver             WireSolverStats    `json:"solver"`
+	Solver             sat.Stats          `json:"solver"`
 	Metrics            map[string]float64 `json:"metrics,omitempty"`
 	// RecoveredGroups / ReverifiedOnRecovery carry the warm-restart
 	// accounting when the daemon recovered from a state directory:
@@ -638,8 +576,8 @@ func EncodeProposeResult(t *topo.Topology, id string, changes []Change, pr *Prop
 		Id:              id,
 		Decision:        pr.Decision.String(),
 		NewViolations:   pr.NewViolations,
-		BudgetExceeded:  pr.BudgetExceeded,
-		RefinedClean:    pr.RefinedClean,
+		BudgetExceeded:  pr.Stats.BudgetExceeded,
+		RefinedClean:    pr.Stats.RefinedClean,
 		RepairTruncated: pr.RepairTruncated,
 		Result:          EncodeResult(t, pr.Stats, pr.Reports),
 	}
@@ -657,24 +595,7 @@ func EncodeProposeResult(t *topo.Topology, id string, changes []Change, pr *Prop
 
 // EncodeResult renders an Apply outcome on the wire.
 func EncodeResult(t *topo.Topology, stats ApplyStats, reports []core.Report) WireResult {
-	res := WireResult{
-		Seq:             stats.Seq,
-		Changes:         stats.Changes,
-		Invariants:      stats.Invariants,
-		Groups:          stats.Groups,
-		DirtyGroups:     stats.DirtyGroups,
-		DirtyInvariants: stats.DirtyInvariants,
-		DirtyClasses:    stats.DirtyClasses,
-		CanonShared:     stats.CanonShared,
-		RefinedClean:    stats.RefinedClean,
-		CacheHits:       stats.CacheHits,
-		CanonHits:       stats.CanonHits,
-		CacheMisses:     stats.CacheMisses,
-		Enqueued:        stats.Enqueued,
-		Coalesced:       stats.Coalesced,
-		BudgetExceeded:  stats.BudgetExceeded,
-		DurationNs:      stats.Duration.Nanoseconds(),
-	}
+	res := WireResult{ApplyStats: stats}
 	if len(reports) > 0 { // an empty set stays null on the wire
 		res.Reports = make([]WireReport, 0, len(reports))
 	}

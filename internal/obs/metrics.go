@@ -10,10 +10,12 @@ import (
 	"sync/atomic"
 )
 
-// Registry holds named metrics. Registration is idempotent by name — a
-// re-registration returns (or replaces, for gauge funcs) the existing
-// metric, so a fresh Session over a long-lived registry keeps counting
-// into the same series. A nil *Registry disables every call.
+// Registry holds named metrics: instruments a subsystem updates as it
+// works (counters, histograms) and func collectors read at export time
+// from records the subsystem already keeps. Registration is idempotent by
+// name — a re-registration returns the existing instrument (or replaces
+// the func), so a fresh Session over a long-lived registry keeps counting
+// into the same instrument series. A nil *Registry disables every call.
 //
 // Naming scheme (see DESIGN.md "Observability"): vmn_<subsystem>_<what>
 // with _total for counters and _seconds for time histograms, Prometheus
@@ -21,18 +23,18 @@ import (
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	funcs    map[string]func() float64
+	cfuncs   map[string]func() int64
 }
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 		funcs:    map[string]func() float64{},
+		cfuncs:   map[string]func() int64{},
 	}
 }
 
@@ -46,33 +48,12 @@ func (c *Counter) Add(n int64) {
 	}
 }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Value returns the current count (0 on nil).
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a settable value. Nil-safe.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // Histogram counts observations into fixed buckets (cumulative on export,
@@ -130,21 +111,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns (registering on first use) the named gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
 // Histogram returns (registering on first use) the named histogram with
 // the given bucket upper bounds (must be sorted ascending; ignored when
 // the name is already registered).
@@ -166,7 +132,8 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 // RegisterFunc registers a gauge collected by calling fn at export time —
 // the zero-hot-path-cost pattern for values a subsystem already tracks
 // (cache hit counts, solver statistics). Re-registration replaces fn, so
-// the latest verifier owns the series.
+// the latest verifier owns the series. Exports call fn under the registry
+// lock: it must read a value, never wait on work in flight.
 func (r *Registry) RegisterFunc(name string, fn func() float64) {
 	if r == nil {
 		return
@@ -176,8 +143,21 @@ func (r *Registry) RegisterFunc(name string, fn func() float64) {
 	r.mu.Unlock()
 }
 
-// Snapshot flattens every metric into a sorted-key map: counters and
-// gauges by name, func gauges evaluated now, histograms expanded to
+// RegisterCounterFunc is RegisterFunc for a monotonic count the
+// subsystem already keeps as its own record: it exports as a counter
+// (integer-valued) with no second copy to keep in sync. A re-registering
+// owner restarts the series, which scrapers read as a counter reset.
+func (r *Registry) RegisterCounterFunc(name string, fn func() int64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.cfuncs[name] = fn
+	r.mu.Unlock()
+}
+
+// Snapshot flattens every metric into a sorted-key map: counters by
+// name, func collectors evaluated now, histograms expanded to
 // name_le_<bound> cumulative buckets plus name_sum / name_count.
 func (r *Registry) Snapshot() map[string]float64 {
 	if r == nil {
@@ -189,11 +169,11 @@ func (r *Registry) Snapshot() map[string]float64 {
 	for name, c := range r.counters {
 		out[name] = float64(c.Value())
 	}
-	for name, g := range r.gauges {
-		out[name] = float64(g.Value())
-	}
 	for name, fn := range r.funcs {
 		out[name] = fn()
+	}
+	for name, fn := range r.cfuncs {
+		out[name] = float64(fn())
 	}
 	for name, h := range r.hists {
 		cum := int64(0)
@@ -208,8 +188,8 @@ func (r *Registry) Snapshot() map[string]float64 {
 }
 
 // WritePrometheus renders the registry in the Prometheus text exposition
-// format (untyped lines for funcs; counter/gauge/histogram types
-// declared).
+// format (counter/gauge/histogram types declared; RegisterFunc collectors
+// are gauges, RegisterCounterFunc collectors counters).
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -223,11 +203,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for name, c := range r.counters {
 		add("# TYPE %s counter\n%s %d\n", name, name, c.Value())
 	}
-	for name, g := range r.gauges {
-		add("# TYPE %s gauge\n%s %d\n", name, name, g.Value())
-	}
 	for name, fn := range r.funcs {
 		add("# TYPE %s gauge\n%s %s\n", name, name, formatValue(fn()))
+	}
+	for name, fn := range r.cfuncs {
+		add("# TYPE %s counter\n%s %d\n", name, name, fn())
 	}
 	for name, h := range r.hists {
 		var b []byte

@@ -16,8 +16,8 @@ func TestNilSafety(t *testing.T) {
 	sp.End()
 
 	var r *Registry
-	r.Counter("c").Inc()
-	r.Gauge("g").Set(7)
+	r.Counter("c").Add(1)
+	r.RegisterCounterFunc("cf", func() int64 { return 7 })
 	r.Histogram("h", LatencyBuckets).Observe(0.5)
 	r.RegisterFunc("f", func() float64 { return 1 })
 	if r.Snapshot() != nil {
@@ -82,7 +82,7 @@ func TestTracerRingWraps(t *testing.T) {
 func TestRegistrySnapshotAndPrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("vmn_test_total").Add(3)
-	r.Gauge("vmn_test_groups").Set(9)
+	r.RegisterCounterFunc("vmn_test_func_total", func() int64 { return 9 })
 	r.RegisterFunc("vmn_test_func", func() float64 { return 2.5 })
 	h := r.Histogram("vmn_test_size", []float64{1, 2, 4})
 	h.Observe(1)
@@ -90,7 +90,7 @@ func TestRegistrySnapshotAndPrometheus(t *testing.T) {
 	h.Observe(100)
 
 	snap := r.Snapshot()
-	if snap["vmn_test_total"] != 3 || snap["vmn_test_groups"] != 9 || snap["vmn_test_func"] != 2.5 {
+	if snap["vmn_test_total"] != 3 || snap["vmn_test_func_total"] != 9 || snap["vmn_test_func"] != 2.5 {
 		t.Fatalf("scalar snapshot wrong: %v", snap)
 	}
 	// Cumulative buckets: ≤1: 1, ≤2: 1, ≤4: 2; count 3; sum 104.
@@ -114,7 +114,9 @@ func TestRegistrySnapshotAndPrometheus(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE vmn_test_total counter",
 		"vmn_test_total 3",
-		"vmn_test_groups 9",
+		"# TYPE vmn_test_func_total counter",
+		"vmn_test_func_total 9",
+		"# TYPE vmn_test_func gauge",
 		"vmn_test_func 2.5",
 		`vmn_test_size_bucket{le="4"} 2`,
 		`vmn_test_size_bucket{le="+Inf"} 3`,

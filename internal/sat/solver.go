@@ -32,15 +32,16 @@ func (s Status) String() string {
 }
 
 // Stats counts solver work. It is reset by Reset but accumulates across
-// Solve calls on the same instance.
+// Solve calls on the same instance. The tagged fields are the "solver"
+// object of the vmnd stats reply.
 type Stats struct {
-	Decisions    int64
-	Propagations int64
-	Conflicts    int64
-	Restarts     int64
-	Learnt       int64
-	DeletedCls   int64
-	MinimizedLit int64
+	Decisions    int64 `json:"decisions"`
+	Propagations int64 `json:"propagations"`
+	Conflicts    int64 `json:"conflicts"`
+	Restarts     int64 `json:"restarts"`
+	Learnt       int64 `json:"learnt"`
+	DeletedCls   int64 `json:"-"`
+	MinimizedLit int64 `json:"-"`
 }
 
 // Solver is a CDCL SAT solver. The zero value is not usable; create

@@ -10,6 +10,7 @@ package slices_test
 // network, failed or not.
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -17,6 +18,7 @@ import (
 	"github.com/netverify/vmn/internal/core"
 	"github.com/netverify/vmn/internal/inv"
 	"github.com/netverify/vmn/internal/mbox"
+	"github.com/netverify/vmn/internal/netdesc"
 	"github.com/netverify/vmn/internal/pkt"
 	"github.com/netverify/vmn/internal/slices"
 	"github.com/netverify/vmn/internal/tf"
@@ -221,5 +223,47 @@ func TestTouchedFootprintUnderFailure(t *testing.T) {
 	}
 	if set[d.Hosts[2][0]] {
 		t.Fatal("touched set must not include unrelated rack hosts")
+	}
+}
+
+// TestForwardingLoopReported: a failure that turns a path into a static
+// forwarding loop must surface as tf.ErrLoop from verification, not be
+// skipped by slice closure (which left the looping path's boxes out of
+// the slice and failed later with a misleading error). A failed ToR lets
+// the datacenter aggregation's wildcard steering rule send IDS egress
+// back to the firewall; a failed pod edge switch does the same in the
+// generated fat tree.
+func TestForwardingLoopReported(t *testing.T) {
+	d := bench.NewDatacenter(bench.DCConfig{Groups: 2, HostsPerGroup: 1})
+	ft, ftInvs, err := netdesc.Build(netdesc.FatTree(4, 2), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge, ok := ft.Topo.ByName("p0-e0")
+	if !ok {
+		t.Fatal("fat tree has no p0-e0")
+	}
+	for _, c := range []struct {
+		name string
+		net  *core.Network
+		invs []inv.Invariant
+		down topo.NodeID
+	}{
+		{"datacenter-tor", d.Net, d.AllIsolationInvariants(), d.ToR[0]},
+		{"fattree-edge", ft, ftInvs, edge.ID},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			v, err := core.NewVerifier(c.net, core.Options{
+				Engine:    core.EngineSAT,
+				Scenarios: []topo.FailureScenario{topo.Failures(c.down)},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = v.VerifyAll(c.invs, true)
+			if !errors.Is(err, tf.ErrLoop) {
+				t.Fatalf("want a forwarding-loop error, got %v", err)
+			}
+		})
 	}
 }

@@ -10,6 +10,7 @@
 package slices
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -253,6 +254,11 @@ func Compute(in Input) (Result, error) {
 					continue
 				}
 				path, err := in.TF.Path(a, in.Topo.Node(b).Addr)
+				if errors.Is(err, tf.ErrLoop) {
+					// A looping path has no finite box sequence: the slice
+					// would miss the boxes on it, so report the loop.
+					return Result{}, fmt.Errorf("slices: %s to %s: %w", in.Topo.Node(a).Name, in.Topo.Node(b).Name, err)
+				}
 				if err != nil {
 					continue // unreachable pairs constrain nothing
 				}
